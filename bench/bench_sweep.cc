@@ -139,11 +139,12 @@ speedup(const RunOutcome &base, const RunOutcome &o)
 
 /**
  * The same sweep through the sweepd process pool (one forked worker
- * per job, qcc_sweepd --worker). In-process cache counters are
- * meaningless here — each worker has its own — so the row reports
- * wall clock and completions; with QCC_STORE_DIR pointing at the
- * warm bench store, workers share compiles and chemistry through
- * the disk tier instead.
+ * per job, qcc_sweepd --worker). Each worker has its own in-process
+ * caches, so the row reports what the workers themselves counted
+ * (SweepdRunStats::workers): compile hits/misses, disk hits and
+ * problem builds. The caller's setStoreDir() reaches every worker
+ * through its request frame, so against a warm store the workers
+ * read compiles and chemistry back from disk and build nothing.
  */
 RunOutcome
 runProcessPool(const SweepSpec &spec, unsigned concurrency,
@@ -156,13 +157,19 @@ runProcessPool(const SweepSpec &spec, unsigned concurrency,
     opts.writeThrough = false;
 
     sweepd::SweepdService service(opts);
+    sweepd::SweepdRunStats stats;
     const auto t0 = clock_type::now();
-    ResultStore store = service.submit(spec);
+    ResultStore store = service.submit(spec, &stats);
     RunOutcome out;
     out.wallMs = std::chrono::duration<double, std::milli>(
                      clock_type::now() - t0)
                      .count();
     out.done = store.countWithStatus(JobStatus::Done);
+    out.cacheHits = stats.workers.compileHits;
+    out.cacheMisses = stats.workers.compileMisses;
+    out.diskHits =
+        stats.workers.circuitDiskHits + stats.workers.problemDiskHits;
+    out.problemBuilds = stats.workers.problemBuilds;
     return out;
 }
 
@@ -315,8 +322,10 @@ main()
     addRow("warm_disk", warmDisk, &cold, 0);
 
     // Process-per-job row: the sweepd pool against the store the
-    // disk rows just warmed, so forked workers share compiles and
-    // chemistry across process boundaries through the disk tier.
+    // disk rows just warmed (set above with setStoreDir, which the
+    // workers receive in their request frames), so forked workers
+    // share compiles and chemistry across process boundaries through
+    // the disk tier: expect zero problem builds.
     const std::string workerBin =
         (std::filesystem::path(
              sweepd::selfExecutablePath(nullptr))

@@ -1,27 +1,32 @@
 /**
  * @file
- * qcc_sweep — run a SweepSpec file end to end. The declarative
- * counterpart of the per-point examples: one JSON document names a
- * whole study (axes over molecules, bond ranges, compression
- * thresholds, groupings, seeds, ...), the engine fans the expanded
- * jobs over a bounded worker pool with the shared compile cache,
- * and the aggregate lands in SWEEP_<name>.json — per-job records
- * plus best-energy/curve/settings summaries. Shipped spec files
- * under examples/specs/ reproduce the Figure 10 LiH dissociation
- * curve and a Table I slice.
+ * qcc_sweep — run SweepSpec files end to end. One JSON document
+ * names a whole study (axes over molecules, bonds, compression,
+ * groupings, seeds, ...); the aggregate lands in SWEEP_<name>.json —
+ * per-job records plus best-energy/curve/settings summaries. Shipped
+ * specs under examples/specs/ reproduce Fig. 10 and Table I/II.
  *
- *   qcc_sweep specs/lih_curve.json
- *   qcc_sweep specs/table1_slice.json --concurrency 4
+ *   qcc_sweep specs/lih_curve.json --concurrency 4
  *   qcc_sweep specs/table1_full.json --estimate
+ *   qcc_sweep specs/big.json --isolate process --timeout-ms 60000
  *
- * --estimate re-runs any spec in resource-estimation mode (kind
- * "estimate" forced onto every job): no simulator state is ever
- * allocated, so a whole Table I costing finishes in milliseconds.
+ * `--isolate thread` runs jobs in-process over the shared caches
+ * (soft timeout); `--isolate process` forks one worker per job
+ * (`<this binary> --worker`; hard timeout, crash isolation).
+ * --estimate forces kind "estimate" onto every job (costing without
+ * a simulator). qcc_sweepd is this same main built with service
+ * defaults — process isolation, resume from SWEEP_<name>.json,
+ * write-through after every job — so a killed service resumes where
+ * it left off (docs/sweepd.md):
+ *
+ *   qcc_sweepd specs/ci_smoke.json
+ *   qcc_sweepd --serve < job_paths.txt
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -29,19 +34,55 @@
 #include "obs/trace.hh"
 #include "store/store.hh"
 #include "sweep/sweep_engine.hh"
+#include "sweepd/service.hh"
+#include "sweepd/worker.hh"
+
+#ifndef QCC_SWEEP_SERVICE_DEFAULTS
+#define QCC_SWEEP_SERVICE_DEFAULTS 0
+#endif
 
 using namespace qcc;
 
 namespace {
+
+constexpr bool kServiceDefaults = QCC_SWEEP_SERVICE_DEFAULTS;
+
+/** Parsed command line. */
+struct Cli
+{
+    sweepd::SweepdOptions opts; ///< runner knobs + worker binary
+    bool process = kServiceDefaults;
+    bool estimate = false;
+    bool list = false;
+    bool quiet = false;
+    bool serve = false;
+    std::vector<std::string> specPaths;
+};
 
 int
 usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <spec.json> [options]\n"
-        "  --concurrency N   worker width (default: spec, then "
+        "usage: %s [<spec.json> ...] [options]\n"
+        "       %s --serve [options]   then read spec paths from "
+        "stdin, one per line\n"
+        "  --isolate MODE    thread: jobs share this process "
+        "(soft timeout);\n"
+        "                    process: one forked worker per job "
+        "(hard timeout,\n"
+        "                    crash isolation). Default: %s\n"
+        "  --concurrency N   job width (default: spec, then "
         "QCC_THREADS)\n"
+        "  --timeout-ms X    per-job budget (default: the spec's "
+        "timeout_ms)\n"
+        "  --retries N       extra attempts after retryable "
+        "failures\n"
+        "  --no-resume       ignore an existing SWEEP_<name>.json "
+        "(qcc_sweepd resumes\n"
+        "                    from it by default)\n"
+        "  --no-width-cap    don't split QCC_THREADS across "
+        "concurrent jobs\n"
         "  --cold-cache      clear the compile cache before every "
         "job\n"
         "  --store-dir DIR   persistent store root (overrides "
@@ -54,130 +95,29 @@ usage(const char *argv0)
         "\nThe aggregate is written as SWEEP_<name>.json under the\n"
         "QCC_JSON convention, falling back to the current "
         "directory.\n",
-        argv0);
+        argv0, argv0, kServiceDefaults ? "process" : "thread");
     return 2;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+printProgress(const SweepProgress &p)
 {
-    setVerbose(false);
-    if (argc < 2)
-        return usage(argv[0]);
-
-    std::string specPath;
-    unsigned concurrency = 0;
-    bool coldCache = false, listOnly = false, quiet = false;
-    bool forceEstimate = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--concurrency" && i + 1 < argc) {
-            concurrency = unsigned(std::atoi(argv[++i]));
-        } else if (arg == "--cold-cache") {
-            coldCache = true;
-        } else if (arg == "--store-dir" && i + 1 < argc) {
-            setStoreDir(argv[++i]);
-        } else if (arg == "--no-store") {
-            setStoreEnabled(false);
-        } else if (arg == "--estimate") {
-            forceEstimate = true;
-        } else if (arg == "--list") {
-            listOnly = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(argv[0]);
-        } else {
-            specPath = arg;
-        }
-    }
-    if (specPath.empty())
-        return usage(argv[0]);
-
-    SweepSpec spec;
-    try {
-        spec = SweepSpec::fromFile(specPath);
-    } catch (const std::exception &e) {
-        error(std::string("qcc_sweep: ") + e.what());
-        return 1;
-    }
-    if (forceEstimate) {
-        // Re-cost the same study without touching the spec file; the
-        // suffixed name keeps the aggregate from clobbering a real
-        // run's SWEEP_<name>.json.
-        spec.name += "_estimate";
-        spec.base.kind = "estimate";
-        for (ExperimentSpec &job : spec.explicitJobs)
-            job.kind = "estimate";
-    }
-
-    std::vector<ExperimentSpec> jobs;
-    try {
-        jobs = spec.expand();
-    } catch (const std::exception &e) {
-        error(std::string("qcc_sweep: ") + e.what());
-        return 1;
-    }
-
-    std::printf("sweep '%s': %zu jobs", spec.name.c_str(),
-                jobs.size());
-    if (!spec.axes.empty()) {
-        std::printf(" (");
-        for (size_t a = 0; a < spec.axes.size(); ++a)
-            std::printf("%s%s x %zu", a ? ", " : "",
-                        spec.axes[a].field.c_str(),
-                        spec.axes[a].values.size());
-        std::printf(")");
-    }
+    const SweepJobRecord &r = *p.last;
+    std::printf("[%zu/%zu] #%-3zu %-5s bond %-5.2f  %-9s", p.completed,
+                p.total, r.index, r.spec.molecule.c_str(),
+                r.effectiveSpec().bond, jobStatusName(r.status));
+    if (r.finished())
+        std::printf("  E = %+.6f Ha", r.result.energy());
+    if (!r.error.empty())
+        std::printf("  (%s)", r.error.c_str());
     std::printf("\n");
+    std::fflush(stdout);
+}
 
-    if (listOnly) {
-        for (size_t i = 0; i < jobs.size(); ++i)
-            std::printf("  #%-3zu %-5s bond %-5.2f comp %-4.2f "
-                        "%s/%s\n",
-                        i, jobs[i].molecule.c_str(), jobs[i].bond,
-                        jobs[i].compression, jobs[i].mode.c_str(),
-                        jobs[i].optimizer.c_str());
-        return 0;
-    }
-
-    SweepEngineOptions opts;
-    opts.concurrency = concurrency;
-    opts.coldCompileCache = coldCache;
-    if (!quiet) {
-        opts.progress = [](const SweepProgress &p) {
-            const SweepJobRecord &r = *p.last;
-            std::printf("[%zu/%zu] #%-3zu %-5s bond %-5.2f  %-9s",
-                        p.completed, p.total, r.index,
-                        r.spec.molecule.c_str(),
-                        r.effectiveSpec().bond,
-                        jobStatusName(r.status));
-            if (r.finished())
-                std::printf("  E = %+.6f Ha", r.result.energy());
-            if (!r.error.empty())
-                std::printf("  (%s)", r.error.c_str());
-            std::printf("\n");
-            std::fflush(stdout);
-        };
-    }
-
-    SweepEngine engine(spec, opts);
-    std::printf("running at concurrency %u%s...\n\n",
-                engine.concurrency(),
-                coldCache ? ", cold compile cache" : "");
-    ResultStore store = engine.run();
-
-    // ---- console summary ----------------------------------------
-    std::printf("\n%zu done, %zu failed, %zu timed out, %zu "
-                "skipped\n",
-                store.countWithStatus(JobStatus::Done),
-                store.countWithStatus(JobStatus::Failed),
-                store.countWithStatus(JobStatus::TimedOut),
-                store.countWithStatus(JobStatus::Skipped));
-
-    // One table per kind, each with the columns that matter for it.
+/** One table per kind, each with the columns that matter for it. */
+void
+printTables(const ResultStore &store)
+{
     bool header = false;
     for (const auto &rec : store.jobs()) {
         if (rec.status != JobStatus::Done ||
@@ -188,10 +128,10 @@ main(int argc, char **argv)
                         "mol", "bond(A)", "HF", "VQE", "FCI");
             header = true;
         }
-        std::printf("%-4zu %-5s %-8.2f %14.6f %14.6f ",
-                    rec.index, rec.spec.molecule.c_str(),
-                    rec.effectiveSpec().bond,
-                    rec.result.hartreeFock, rec.result.energy());
+        std::printf("%-4zu %-5s %-8.2f %14.6f %14.6f ", rec.index,
+                    rec.spec.molecule.c_str(),
+                    rec.effectiveSpec().bond, rec.result.hartreeFock,
+                    rec.result.energy());
         if (rec.result.haveFci)
             std::printf("%14.6f\n", rec.result.fci);
         else
@@ -205,9 +145,9 @@ main(int argc, char **argv)
             continue;
         const TimeEvolutionResult &ev = rec.result.evolution;
         if (!header) {
-            std::printf("\n%-4s %-5s %8s %6s %6s %14s %12s\n",
-                        "job", "mol", "t(Ha^-1)", "steps", "order",
-                        "<H>(t)", "fidelity");
+            std::printf("\n%-4s %-5s %8s %6s %6s %14s %12s\n", "job",
+                        "mol", "t(Ha^-1)", "steps", "order", "<H>(t)",
+                        "fidelity");
             header = true;
         }
         std::printf("%-4zu %-5s %8.3f %6d %6d %14.6f ", rec.index,
@@ -226,33 +166,117 @@ main(int argc, char **argv)
             continue;
         const EstimateResult &es = rec.result.estimate;
         if (!header) {
-            std::printf("\n%-4s %-5s %-9s %6s %8s %8s %8s %7s "
-                        "%12s\n",
-                        "job", "mol", "grouping", "qubits",
-                        "settings", "gates", "cnots", "depth",
-                        "shot budget");
+            std::printf("\n%-4s %-5s %-9s %6s %8s %8s %8s %7s %12s\n",
+                        "job", "mol", "grouping", "qubits", "settings",
+                        "gates", "cnots", "depth", "shot budget");
             header = true;
         }
-        std::printf("%-4zu %-5s %-9s %6u %8zu %8zu %8zu %7zu "
-                    "%12llu\n",
+        std::printf("%-4zu %-5s %-9s %6u %8zu %8zu %8zu %7zu %12llu\n",
                     rec.index, rec.spec.molecule.c_str(),
                     rec.effectiveSpec().grouping.c_str(), es.qubits,
                     es.measurementSettings, es.gates, es.cnots,
-                    es.depth,
-                    (unsigned long long)es.shotBudget);
+                    es.depth, (unsigned long long)es.shotBudget);
+    }
+}
+
+/** Print a written document's path (skipped when "" = not written). */
+void
+printWritten(const std::string &path)
+{
+    if (!path.empty())
+        std::printf("wrote %s\n", path.c_str());
+}
+
+/** Run one spec file; 0 when no job failed. */
+int
+runSpec(const Cli &cli, const std::string &path)
+{
+    SweepSpec spec;
+    std::vector<ExperimentSpec> jobs;
+    try {
+        spec = SweepSpec::fromFile(path);
+        if (cli.estimate) {
+            // Re-cost the same study without touching the spec
+            // file; the suffixed name keeps the aggregate from
+            // clobbering a real run's SWEEP_<name>.json.
+            spec.name += "_estimate";
+            spec.base.kind = "estimate";
+            for (ExperimentSpec &job : spec.explicitJobs)
+                job.kind = "estimate";
+        }
+        jobs = spec.expand();
+    } catch (const std::exception &e) {
+        error(std::string("qcc_sweep: ") + e.what());
+        return 1;
     }
 
-    std::string path = store.write();
-    if (path.empty()) // QCC_JSON unset: the CLI still delivers
-        path = store.writeTo("SWEEP_" + store.name() + ".json");
-    if (!path.empty())
-        std::printf("\nwrote %s\n", path.c_str());
+    std::printf("sweep '%s': %zu jobs", spec.name.c_str(), jobs.size());
+    for (size_t a = 0; a < spec.axes.size(); ++a)
+        std::printf("%s%s x %zu", a ? ", " : " (",
+                    spec.axes[a].field.c_str(),
+                    spec.axes[a].values.size());
+    std::printf("%s\n", spec.axes.empty() ? "" : ")");
+
+    if (cli.list) {
+        for (size_t i = 0; i < jobs.size(); ++i)
+            std::printf("  #%-3zu %-5s bond %-5.2f comp %-4.2f %s/%s\n",
+                        i, jobs[i].molecule.c_str(), jobs[i].bond,
+                        jobs[i].compression, jobs[i].mode.c_str(),
+                        jobs[i].optimizer.c_str());
+        return 0;
+    }
+
+    // Telemetry is per spec: each submission (including each line in
+    // serve mode) gets its own TRACE_EVENTS/METRICS documents.
+    clearTrace();
+    resetMetrics();
+
+    std::printf("running at concurrency %u, isolate %s%s...\n\n",
+                sweepWidth(cli.opts, spec),
+                cli.process ? "process" : "thread",
+                cli.opts.coldCompileCache ? ", cold compile cache"
+                                          : "");
+    std::fflush(stdout);
+
+    ResultStore store("", false);
+    size_t resumed = 0;
+    std::optional<sweepd::WorkerStoreStats> workers;
+    try {
+        if (cli.process) {
+            sweepd::SweepdRunStats stats;
+            store = sweepd::SweepdService(cli.opts).submit(spec, &stats);
+            resumed = stats.resumed;
+            workers = stats.workers;
+        } else {
+            SweepEngine engine(
+                spec, static_cast<const SweepEngineOptions &>(cli.opts));
+            store = engine.run();
+            resumed = engine.adopted();
+        }
+    } catch (const std::exception &e) {
+        error(std::string("qcc_sweep: ") + e.what());
+        return 1;
+    }
+
+    std::printf("\n'%s': %zu done (%zu resumed), %zu failed, %zu timed "
+                "out, %zu skipped\n",
+                spec.name.c_str(), store.countWithStatus(JobStatus::Done),
+                resumed, store.countWithStatus(JobStatus::Failed),
+                store.countWithStatus(JobStatus::TimedOut),
+                store.countWithStatus(JobStatus::Skipped));
+    printTables(store);
+
+    std::string sweepPath = qccJsonPath("SWEEP_" + store.name() + ".json");
+    if (sweepPath.empty()) // QCC_JSON unset: the CLI still delivers
+        sweepPath = "SWEEP_" + store.name() + ".json";
+    std::printf("\n");
+    printWritten(store.writeTo(sweepPath));
 
     if (storeEnabled()) {
         const StoreStats ss = storeStats();
-        std::printf("\npersistent store (%s): circuits %zu hit / "
-                    "%zu written / %zu bad; problems %zu memo + "
-                    "%zu disk hit / %zu built / %zu written\n",
+        std::printf("persistent store (%s): circuits %zu hit / %zu "
+                    "written / %zu bad; problems %zu memo + %zu disk "
+                    "hit / %zu built / %zu written\n",
                     storeDir().c_str(), ss.circuitDiskHits,
                     ss.circuitDiskWrites, ss.circuitBadEntries,
                     ss.problemMemHits, ss.problemDiskHits,
@@ -264,19 +288,114 @@ main(int argc, char **argv)
         if (FILE *f = std::fopen(statsPath.c_str(), "w")) {
             std::fputs(storeStatsJson().c_str(), f);
             std::fclose(f);
-            std::printf("wrote %s\n", statsPath.c_str());
+            printWritten(statsPath);
         }
     }
 
-    // Telemetry documents under the same QCC_JSON convention as the
-    // aggregate: a trace only when QCC_TRACE is on, metrics whenever
-    // the registry is enabled.
-    const std::string tracePath = writeTraceJson(store.name());
-    if (!tracePath.empty())
-        std::printf("wrote %s\n", tracePath.c_str());
-    const std::string metricsPath = writeMetricsJson(store.name());
-    if (!metricsPath.empty())
-        std::printf("wrote %s\n", metricsPath.c_str());
+    if (workers) {
+        // Ground truth for the merged telemetry: the sum of what
+        // every done worker reported in its reply. The trace-smoke
+        // CI job parses this line and asserts the METRICS document
+        // agrees with it.
+        std::printf("workers: compile_hits=%llu compile_misses=%llu "
+                    "circuit_disk_hits=%llu problem_builds=%llu "
+                    "problem_disk_hits=%llu problem_mem_hits=%llu\n",
+                    (unsigned long long)workers->compileHits,
+                    (unsigned long long)workers->compileMisses,
+                    (unsigned long long)workers->circuitDiskHits,
+                    (unsigned long long)workers->problemBuilds,
+                    (unsigned long long)workers->problemDiskHits,
+                    (unsigned long long)workers->problemMemHits);
+    }
 
+    // A trace only when QCC_TRACE is on, metrics whenever the
+    // registry is enabled.
+    printWritten(writeTraceJson(store.name()));
+    printWritten(writeMetricsJson(store.name()));
+    std::fflush(stdout);
     return store.countWithStatus(JobStatus::Failed) == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Worker mode first: nothing else (flag parsing, store setup)
+    // may touch the frame channel before the handoff.
+    if (argc > 1 && std::strcmp(argv[1], sweepd::kWorkerFlag) == 0)
+        return sweepd::workerMain();
+
+    setVerbose(kServiceDefaults);
+
+    Cli cli;
+    cli.opts.resume = kServiceDefaults;
+    cli.opts.writeThrough = kServiceDefaults;
+    cli.opts.workerPath = sweepd::selfExecutablePath(argv[0]);
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const bool hasValue = i + 1 < argc;
+        if (arg == "--isolate" && hasValue) {
+            const std::string mode = argv[++i];
+            if (mode != "thread" && mode != "process")
+                return usage(argv[0]);
+            cli.process = mode == "process";
+        } else if (arg == "--concurrency" && hasValue) {
+            cli.opts.concurrency = unsigned(std::atoi(argv[++i]));
+        } else if (arg == "--timeout-ms" && hasValue) {
+            cli.opts.jobTimeoutMs = std::atof(argv[++i]);
+        } else if (arg == "--retries" && hasValue) {
+            cli.opts.retries = std::atoi(argv[++i]);
+        } else if (arg == "--no-resume") {
+            cli.opts.resume = false;
+        } else if (arg == "--no-width-cap") {
+            cli.opts.capJobWidth = false;
+        } else if (arg == "--cold-cache") {
+            cli.opts.coldCompileCache = true;
+        } else if (arg == "--store-dir" && hasValue) {
+            setStoreDir(argv[++i]);
+        } else if (arg == "--no-store") {
+            setStoreEnabled(false);
+        } else if (arg == "--estimate") {
+            cli.estimate = true;
+        } else if (arg == "--list") {
+            cli.list = true;
+        } else if (arg == "--serve") {
+            cli.serve = true;
+        } else if (arg == "--quiet") {
+            cli.quiet = true;
+        } else if (!arg.empty() && arg[0] == '-') {
+            return usage(argv[0]);
+        } else {
+            cli.specPaths.push_back(arg);
+        }
+    }
+    if (cli.specPaths.empty() && !cli.serve)
+        return usage(argv[0]);
+    if (!cli.quiet)
+        cli.opts.progress = printProgress;
+
+    int rc = 0;
+    for (const auto &path : cli.specPaths)
+        rc |= runSpec(cli, path);
+
+    if (cli.serve) {
+        // Server loop: one spec path per line until EOF. Each
+        // submission runs to completion before the next is read —
+        // concurrency lives inside a sweep, not across sweeps.
+        std::printf("serving (one spec path per line; EOF stops)\n");
+        std::fflush(stdout);
+        char line[4096];
+        while (std::fgets(line, sizeof(line), stdin)) {
+            std::string path = line;
+            while (!path.empty() &&
+                   (path.back() == '\n' || path.back() == '\r' ||
+                    path.back() == ' '))
+                path.pop_back();
+            if (path.empty() || path[0] == '#')
+                continue;
+            rc |= runSpec(cli, path);
+        }
+    }
+    return rc;
 }

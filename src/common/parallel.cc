@@ -44,9 +44,10 @@ parallelThreads()
 namespace {
 
 /**
- * Process-wide lane cap (QCC_JOB_WIDTH, 0/unset = uncapped): the
- * knob the sweepd service sets on worker processes so N concurrent
- * workers split the machine instead of each sizing to all of it.
+ * Process-wide lane cap (QCC_JOB_WIDTH, 0/unset = uncapped): a user
+ * knob for capping a whole process. Sweeps cap their own jobs with
+ * a ParallelWidthCap instead (in-thread, and inside each forked
+ * worker from its request frame).
  */
 unsigned
 envLaneCap()

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "common/binio.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -339,14 +340,10 @@ ResultStore::write() const
 std::string
 ResultStore::writeTo(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    if (!atomicWriteFile(path, json())) {
         warn("ResultStore::writeTo: cannot write " + path);
         return {};
     }
-    const std::string doc = json();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
     return path;
 }
 

@@ -153,7 +153,11 @@ class ResultStore
      */
     std::string write() const;
 
-    /** Write json() to an explicit path ("" on IO failure). */
+    /**
+     * Write json() to an explicit path atomically (temp file +
+     * rename, so a reader or a killed writer never leaves a
+     * truncated document); "" on IO failure.
+     */
     std::string writeTo(const std::string &path) const;
 
   private:

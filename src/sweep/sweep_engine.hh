@@ -1,147 +1,63 @@
 /**
  * @file
- * SweepEngine — the concurrent batch-execution service over
- * qcc::Experiment. One engine takes a SweepSpec, expands it to an
- * ordered job list, and drives the jobs over a bounded-concurrency
- * executor (common/parallel): workers claim jobs from a shared
- * counter, run each through the ordinary Experiment facade, and
- * land records in the ResultStore's index-addressed slots, so
- * completion order never leaks into the aggregate. Jobs share the
- * process-wide CircuitCache, MolecularProblemStore, and gradient
- * BufferPool (all mutex-guarded), which is the engine's throughput
- * lever: repeated compilations of the same program across jobs —
- * same molecule, different shots/seeds/bonds — rebind angles on the
- * memoized structure instead of re-routing, and workers racing on
- * the same chemistry share a single integrals/HF build instead of
- * duplicating it (bench_sweep measures the cold-vs-shared gap).
- * When a persistent store is configured (QCC_STORE_DIR, see
- * src/store), all workers additionally share the warm on-disk tier,
- * so a re-run of a sweep skips compilation and chemistry entirely.
+ * SweepEngine — the in-thread front door onto SweepRunner
+ * (sweep_runner.hh): one spec, one ThreadExecutor. Jobs run on a
+ * bounded set of threads through the ordinary Experiment facade and
+ * share the process-wide CircuitCache, MolecularProblemStore, and
+ * gradient BufferPool (all mutex-guarded), which is the engine's
+ * throughput lever: repeated compilations of the same program across
+ * jobs rebind angles on the memoized structure instead of
+ * re-routing, and jobs racing on the same chemistry share a single
+ * integrals/HF build (bench_sweep measures the cold-vs-shared gap).
+ * The per-job timeout is soft; the process-per-job front door is
+ * sweepd::SweepdService.
  *
- * Failure policy: spec/registry errors fail a job immediately (a
- * retry cannot fix a typo'd key), other exceptions retry up to the
- * configured budget, and every failure is recorded — one bad job
- * never sinks the sweep. The per-job timeout is soft: C++ threads
- * cannot be killed safely, so an over-budget job runs to completion
- * and is then recorded as TimedOut (excluded from the summaries).
- * Cancellation is cooperative: requestCancel() (from a progress
- * callback or another thread) lets in-flight jobs finish and marks
- * every unclaimed job Skipped.
+ * The in-thread defaults add no per-job cost: no write-through, no
+ * implicit resume, no subprocess.
  */
 
 #ifndef QCC_SWEEP_SWEEP_ENGINE_HH
 #define QCC_SWEEP_SWEEP_ENGINE_HH
 
-#include <functional>
-
-#include "common/parallel.hh"
-#include "sweep/result_store.hh"
-#include "sweep/sweep_spec.hh"
+#include "sweep/sweep_runner.hh"
 
 namespace qcc {
 
-/** Snapshot handed to the progress callback after each job. */
-struct SweepProgress
-{
-    size_t completed = 0; ///< jobs no longer pending/running
-    size_t total = 0;
-    /** The record that just landed (valid during the callback). */
-    const SweepJobRecord *last = nullptr;
-};
+/** Engine knobs: the runner's, with its defaults. */
+using SweepEngineOptions = SweepRunnerOptions;
 
-/**
- * Called after every job record lands, serialized under one lock
- * (callbacks never interleave). The callback may call
- * SweepEngine::requestCancel() to stop the sweep.
- */
-using SweepProgressFn = std::function<void(const SweepProgress &)>;
-
-/** Engine execution knobs (overrides of the spec's own hints). */
-struct SweepEngineOptions
-{
-    /** Worker width; 0 defers to the spec, then QCC_THREADS. */
-    unsigned concurrency = 0;
-
-    /** Soft per-job budget in ms; < 0 defers to the spec. */
-    double jobTimeoutMs = -1.0;
-
-    /** Extra attempts after non-spec failures; < 0 defers. */
-    int retries = -1;
-
-    /**
-     * Clear the global CircuitCache before every job: the
-     * cold-cache baseline the sweep bench compares against. Only
-     * meaningful at concurrency 1 (a concurrent clear just thrashes
-     * the other workers).
-     */
-    bool coldCompileCache = false;
-
-    /**
-     * Clear the global MolecularProblemStore memo before every job
-     * (same baseline role and concurrency-1 caveat as
-     * coldCompileCache). Neither flag touches the persistent disk
-     * tier — benches point QCC_STORE_DIR elsewhere (or disable it)
-     * to get a truly cold run.
-     */
-    bool coldProblemCache = false;
-
-    /**
-     * Cap each job's data-parallel width to parallelThreads() /
-     * concurrency lanes (at least 1) while it runs, so N concurrent
-     * jobs split the machine instead of each sizing its sweeps to
-     * all of it (nested-parallelism oversubscription). Implemented
-     * as a ParallelWidthCap, so results are bit-identical either
-     * way; QCC_JOB_WIDTH overrides the derived cap per process.
-     */
-    bool capJobWidth = true;
-
-    /**
-     * Path of a previously written SWEEP_*.json to resume from:
-     * completed jobs whose recorded spec_hash still matches are
-     * adopted (never re-run), everything else runs normally. ""
-     * disables; a missing/unreadable file throws SweepError.
-     */
-    std::string resumeFrom;
-
-    SweepProgressFn progress;
-};
-
-/** A validated, runnable sweep. */
+/** A validated, runnable in-thread sweep. */
 class SweepEngine
 {
   public:
     explicit SweepEngine(SweepSpec spec,
-                         SweepEngineOptions options = {});
+                         SweepEngineOptions options = {})
+        : sweepSpec(std::move(spec)), opts(std::move(options)),
+          runner(opts, executor)
+    {
+    }
 
     const SweepSpec &spec() const { return sweepSpec; }
 
-    /** Resolved worker width for this engine. */
-    unsigned concurrency() const;
+    /** Resolved job width (sweepWidth). */
+    unsigned concurrency() const { return sweepWidth(opts, sweepSpec); }
 
-    /**
-     * Run every job; blocks until the sweep finishes (or every
-     * remaining job is skipped after a cancel). The returned store
-     * holds one record per job in job order.
-     */
-    ResultStore run();
+    /** Run every job; see SweepRunner::run. */
+    ResultStore run() { return runner.run(sweepSpec); }
 
     /** Cooperative cancel: unclaimed jobs become Skipped. */
-    void requestCancel() { cancelToken.requestCancel(); }
+    void requestCancel() { runner.requestCancel(); }
 
-    bool cancelled() const { return cancelToken.cancelled(); }
+    bool cancelled() const { return runner.cancelled(); }
 
-    /** Jobs adopted from resumeFrom by the last run() (never re-run). */
-    size_t adopted() const { return adoptedJobs; }
+    /** Jobs adopted from a resume document by the last run(). */
+    size_t adopted() const { return runner.adopted(); }
 
   private:
-    void runJob(size_t index, ResultStore &store);
-
     SweepSpec sweepSpec;
     SweepEngineOptions opts;
-    CancellationToken cancelToken;
-    std::mutex progressMutex;
-    size_t completedJobs = 0;
-    size_t adoptedJobs = 0;
+    ThreadExecutor executor;
+    SweepRunner runner;
 };
 
 } // namespace qcc

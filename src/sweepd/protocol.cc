@@ -1,6 +1,9 @@
 #include "sweepd/protocol.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string_view>
 
 #include "common/json.hh"
 
@@ -8,6 +11,8 @@ namespace qcc {
 namespace sweepd {
 
 namespace {
+
+const char *const kLogLevelNames[] = {"quiet", "info", "debug"};
 
 /** Append `doc` (multi-line) with its trailing newlines trimmed. */
 void
@@ -18,6 +23,51 @@ appendTrimmed(std::string &out, std::string doc)
     out += doc;
 }
 
+/**
+ * A config member, validated: exactly the five fields, each with
+ * its type and range (an unknown or duplicated key leaves one of the
+ * five missing).
+ */
+WorkerConfig
+decodeWorkerConfig(const JsonValue &v)
+{
+    if (!v.isObject() || v.members.size() != 5)
+        throw SpecError("(request)",
+                        "config must be an object of 5 members");
+    const auto bad = [](const char *field) {
+        return SpecError("(request)",
+                         std::string("bad config member: ") + field);
+    };
+    WorkerConfig config;
+    const JsonValue *dir = v.find("store_dir");
+    if (!dir || !dir->isString())
+        throw bad("store_dir");
+    config.storeDir = dir->text;
+    const JsonValue *store = v.find("store");
+    if (!store || !store->isBool())
+        throw bad("store");
+    config.storeEnabled = store->boolean;
+    const JsonValue *trace = v.find("trace");
+    if (!trace || !trace->isBool())
+        throw bad("trace");
+    config.trace = trace->boolean;
+    const JsonValue *log = v.find("log");
+    const auto *level = std::end(kLogLevelNames);
+    if (log && log->isString())
+        level = std::find(std::begin(kLogLevelNames),
+                          std::end(kLogLevelNames),
+                          std::string_view(log->text));
+    if (level == std::end(kLogLevelNames))
+        throw bad("log");
+    config.logLevel = LogLevel(level - std::begin(kLogLevelNames));
+    const JsonValue *width = v.find("job_width");
+    uint64_t lanes = 0;
+    if (!width || !width->asUint64(lanes) || lanes > 65536)
+        throw bad("job_width");
+    config.jobWidth = unsigned(lanes);
+    return config;
+}
+
 } // namespace
 
 std::string
@@ -25,6 +75,15 @@ encodeJobRequest(const JobRequest &request)
 {
     std::string out = "{\"spec\": ";
     appendTrimmed(out, request.spec.json());
+    if (const auto &c = request.config) {
+        out += ",\n\"config\": {\"store_dir\": \"" +
+               jsonEscape(c->storeDir) + "\", \"store\": " +
+               (c->storeEnabled ? "true" : "false") +
+               ", \"trace\": " + (c->trace ? "true" : "false") +
+               ", \"log\": \"" + kLogLevelNames[int(c->logLevel)] +
+               "\", \"job_width\": " + std::to_string(c->jobWidth) +
+               "}";
+    }
     out += "}\n";
     return out;
 }
@@ -45,6 +104,8 @@ decodeJobRequest(const std::string &payload)
             for (const auto &[field, fv] : v.members)
                 applySpecField(request.spec, field, fv);
             haveSpec = true;
+        } else if (key == "config") {
+            request.config = decodeWorkerConfig(v);
         } else {
             throw SpecError("(request)",
                             "unknown request member: " + key);

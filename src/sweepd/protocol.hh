@@ -5,7 +5,8 @@
  * magic + length + payload + FNV-1a checksum). One exchange per
  * worker process:
  *
- *   parent -> worker (stdin):  {"spec": { ...ExperimentSpec... }}
+ *   parent -> worker (stdin):  {"spec": { ...ExperimentSpec... },
+ *                               "config": { ...WorkerConfig... }}
  *   worker -> parent (stdout): {"status": "done",
  *                               "store": { ...cache counters... },
  *                               "result": { ...ExperimentResult... }}
@@ -22,25 +23,44 @@
  * retry cannot fix. `store` carries the worker's compile-cache
  * counters so cross-process disk-tier sharing is observable (tests
  * assert a warm-store worker reports zero compile misses).
+ *
+ * `config` carries the service's effective process settings, so a
+ * worker runs under exactly the store, trace, log and lane settings
+ * its parent resolved — flags and API calls included — instead of
+ * whatever the environment it inherited says.
  */
 
 #ifndef QCC_SWEEPD_PROTOCOL_HH
 #define QCC_SWEEPD_PROTOCOL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "api/experiment.hh"
 #include "api/spec.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace qcc {
 namespace sweepd {
+
+/** The parent's effective settings, applied by the worker. */
+struct WorkerConfig
+{
+    std::string storeDir;      ///< storeDir() ("" = no store)
+    bool storeEnabled = false; ///< storeEnabled()
+    bool trace = false;        ///< traceEnabled()
+    LogLevel logLevel = LogLevel::Info;
+    unsigned jobWidth = 0;     ///< ParallelWidthCap lanes, 0 = none
+};
 
 /** One job, parent -> worker. */
 struct JobRequest
 {
     ExperimentSpec spec;
+    /** Absent: the worker keeps its own (environment) settings. */
+    std::optional<WorkerConfig> config = std::nullopt;
 };
 
 /**
@@ -85,8 +105,9 @@ struct WorkerReply
 std::string encodeJobRequest(const JobRequest &request);
 
 /**
- * Parse a job request payload; throws JsonError/SpecError (which
- * the worker reports back as a fast-fail).
+ * Parse a job request payload, validating every member (the bytes
+ * are untrusted); throws JsonError/SpecError, which the worker
+ * reports back as a fast-fail.
  */
 JobRequest decodeJobRequest(const std::string &payload);
 

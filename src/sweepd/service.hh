@@ -1,91 +1,47 @@
 /**
  * @file
- * SweepdService — the process-per-job sweep runner behind the
- * qcc_sweepd binary. Same contract as the in-process SweepEngine
- * (expand a SweepSpec, land one record per job in a ResultStore,
- * byte-stable aggregates), different execution substrate: every job
- * runs in a forked worker process (worker.hh) over a framed pipe
- * protocol (protocol.hh), which upgrades two soft guarantees to
- * hard ones —
+ * The process-per-job substrate (qcc_sweepd, `qcc_sweep --isolate
+ * process`). ForkExecutor runs every attempt in a forked worker
+ * (worker.hh) over a framed pipe protocol (protocol.hh): a worker
+ * past its budget is SIGKILLed and recorded TimedOut "hard", and a
+ * crashing job (SIGSEGV, abort) costs one Failed record. Each
+ * request frame carries a WorkerConfig with the service's effective
+ * store, trace, log and lane settings, so `--store-dir`/`--no-store`
+ * and setStoreDir()/setStoreEnabled() reach every worker; with a
+ * store configured, the disk tier is a shared cross-process cache.
  *
- *  - the per-job timeout is a real deadline: a worker past its
- *    budget is SIGKILLed and reaped, and the job is recorded
- *    TimedOut with timeout_kind "hard" (the in-process engine can
- *    only record "soft" after the fact; docs/sweepd.md has the
- *    comparison table);
- *  - a crashing job (SIGSEGV, abort) costs exactly one Failed
- *    record — the service reaps the corpse and moves on.
- *
- * Workers inherit the parent environment, so QCC_STORE_DIR makes
- * the src/store disk tier a shared cross-process cache: the first
- * worker to compile a circuit or build a molecular problem writes
- * it through, every later worker (and every later service run)
- * reads it back. Each worker also gets QCC_JOB_WIDTH =
- * parallelThreads() / concurrency so N concurrent jobs split the
- * machine instead of oversubscribing it (see common/parallel).
- *
- * Resume: when a SWEEP_<name>.json from an earlier (killed) run
- * exists, submit() adopts every recorded done job whose spec_hash
- * still matches (ResultStore::adoptCompleted) and re-runs only the
- * rest; the aggregate is written through after every job, so the
- * resume document always reflects everything completed so far, and
- * the final document is byte-identical to an uninterrupted run.
+ * SweepdService is the front door: a SweepRunner over a
+ * ForkExecutor, with resume and write-through on by default, so a
+ * killed service leaves SWEEP_<name>.json behind and resubmitting
+ * re-runs only what is missing (docs/sweepd.md).
  */
 
 #ifndef QCC_SWEEPD_SERVICE_HH
 #define QCC_SWEEPD_SERVICE_HH
 
+#include <mutex>
 #include <string>
 
-#include "sweep/sweep_engine.hh"
-#include "sweep/sweep_spec.hh"
+#include "sweep/sweep_runner.hh"
 #include "sweepd/protocol.hh"
 
 namespace qcc {
 namespace sweepd {
 
-/** Service knobs (overrides of the spec's own hints). */
-struct SweepdOptions
+/** Service knobs: the runner's, plus the worker binary. */
+struct SweepdOptions : SweepRunnerOptions
 {
+    SweepdOptions()
+    {
+        resume = true;
+        writeThrough = true;
+    }
+
     /**
      * Binary to exec for workers (invoked as `<path> --worker`);
      * usually the service's own executable (selfExecutablePath).
      */
     std::string workerPath;
-
-    /** Worker-pool width; 0 defers to the spec, then QCC_THREADS. */
-    unsigned concurrency = 0;
-
-    /**
-     * Hard per-job wall-clock budget in ms; a worker past it is
-     * killed and reaped. < 0 defers to the spec's jobTimeoutMs
-     * (which the in-process engine could only honor softly); 0
-     * disables.
-     */
-    double jobTimeoutMs = -1.0;
-
-    /** Extra attempts after retryable failures; < 0 defers. */
-    int retries = -1;
-
-    /** Give each worker QCC_JOB_WIDTH = threads / concurrency. */
-    bool capJobWidth = true;
-
-    /**
-     * Adopt completed jobs from an existing SWEEP_<name>.json
-     * before running (resume). The document is looked up under the
-     * QCC_JSON convention unless resumeDoc names a path explicitly.
-     */
-    bool resume = true;
-    std::string resumeDoc;
-
-    /**
-     * Rewrite SWEEP_<name>.json after every job record, so a killed
-     * service leaves a resumable aggregate behind. (Final state is
-     * always written once more on completion.)
-     */
-    bool writeThrough = true;
-
-    SweepProgressFn progress;
 };
 
 /** Outcome counters for one submit(). */
@@ -103,34 +59,52 @@ struct SweepdRunStats
     WorkerStoreStats workers;
 };
 
-/** Process-per-job sweep runner (see file comment). */
+/** One attempt = one forked worker (see file comment). */
+class ForkExecutor final : public JobExecutor
+{
+  public:
+    /**
+     * Snapshot the calling process's effective settings into the
+     * WorkerConfig every request will carry.
+     */
+    explicit ForkExecutor(std::string worker_path);
+
+    const char *jobSpanName() const override { return "sweepd.job"; }
+
+    JobAttempt attempt(const ExperimentSpec &spec,
+                       const JobBudget &budget) override;
+
+    /** Summed cache counters of every done worker so far. */
+    WorkerStoreStats workerTotals() const;
+
+  private:
+    std::string workerPath;
+    WorkerConfig config;
+    mutable std::mutex totalsMutex;
+    WorkerStoreStats totals;
+};
+
+/** Process-per-job front door onto SweepRunner. */
 class SweepdService
 {
   public:
     explicit SweepdService(SweepdOptions options);
 
     /**
-     * Run one sweep to completion; blocks. Throws
-     * SweepError/SpecError on a malformed spec (before any job
-     * runs); per-job failures/crashes/timeouts are recorded, never
-     * thrown. `stats` (optional) receives the outcome counters.
+     * Run one sweep to completion (SweepRunner::run); `stats`
+     * (optional) receives the outcome counters.
      */
     ResultStore submit(const SweepSpec &spec,
                        SweepdRunStats *stats = nullptr);
 
-    /** Resolved worker-pool width for `spec`. */
-    unsigned concurrency(const SweepSpec &spec) const;
+    /** Resolved worker-pool width for `spec` (sweepWidth). */
+    unsigned concurrency(const SweepSpec &spec) const
+    {
+        return sweepWidth(opts, spec);
+    }
 
   private:
-    void runJob(size_t index, ResultStore &store,
-                double timeout_ms, int max_attempts,
-                unsigned job_width);
-    void landRecord(SweepJobRecord rec, ResultStore &store);
-
     SweepdOptions opts;
-    std::mutex progressMutex;
-    size_t completedJobs = 0;
-    WorkerStoreStats workerTotals; ///< under progressMutex
 };
 
 /**

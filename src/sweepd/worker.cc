@@ -7,12 +7,14 @@
 
 #include <unistd.h>
 
-#include "api/registries.hh"
+#include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/subprocess.hh"
 #include "compiler/cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/store.hh"
+#include "sweep/sweep_runner.hh"
 #include "sweepd/protocol.hh"
 
 namespace qcc {
@@ -34,6 +36,64 @@ seedHookMatches(const char *name, uint64_t seed)
     return end && *end == '\0' && v == seed;
 }
 
+/** Decode, configure, run; the reply document for `payload`. */
+std::string
+runRequest(const std::string &payload)
+{
+    JobRequest request;
+    try {
+        request = decodeJobRequest(payload);
+    } catch (const std::exception &e) {
+        // Malformed bytes cannot succeed on retry.
+        return encodeFailedReply(e.what(), /*fast_fail=*/true);
+    }
+
+    // The parent's effective settings, not the inherited
+    // environment's, govern the run.
+    unsigned jobWidth = 0;
+    if (const auto &c = request.config) {
+        setStoreDir(c->storeDir);
+        setStoreEnabled(c->storeEnabled);
+        setTraceEnabled(c->trace);
+        setLogLevel(c->logLevel);
+        jobWidth = c->jobWidth;
+    }
+    const ParallelWidthCap laneCap(jobWidth);
+
+    // Fault-injection hooks for the crash/timeout tests: keyed on
+    // the job's seed so one spec in a sweep misbehaves while its
+    // siblings run normally.
+    if (seedHookMatches("QCC_SWEEPD_TEST_CRASH_SEED", request.spec.seed))
+        std::abort();
+    if (seedHookMatches("QCC_SWEEPD_TEST_SLEEP_SEED", request.spec.seed))
+        std::this_thread::sleep_for(std::chrono::seconds(30));
+
+    const JobAttempt attempt = runJobAttempt(request.spec);
+    if (attempt.status != JobStatus::Done)
+        return encodeFailedReply(attempt.error, attempt.fastFail);
+
+    WorkerStoreStats stats;
+    const CacheStats cs = globalCircuitCache().stats();
+    const StoreStats ss = storeStats();
+    stats.compileHits = cs.hits;
+    stats.compileMisses = cs.misses;
+    stats.circuitDiskHits = ss.circuitDiskHits;
+    stats.problemBuilds = ss.problemBuilds;
+    stats.problemDiskHits = ss.problemDiskHits;
+    stats.problemMemHits = ss.problemMemHits;
+
+    // Telemetry riders: the worker's span buffer (only when tracing
+    // is on — the events carry this process's pid, so the service's
+    // merged timeline separates workers) and its metrics snapshot
+    // (always; counters are how the service cross-checks worker
+    // totals without tracing).
+    std::string traceDoc;
+    if (traceEnabled() && traceEventCount())
+        traceDoc = traceEventsArrayJson();
+    return encodeDoneReply(attempt.result, stats, traceDoc,
+                           metricsJson());
+}
+
 } // namespace
 
 int
@@ -52,55 +112,7 @@ workerMain()
     if (readFrame(STDIN_FILENO, payload, /*timeout_ms=*/0.0) !=
         FrameStatus::Ok)
         return 3;
-
-    std::string reply;
-    try {
-        const JobRequest request = decodeJobRequest(payload);
-
-        // Fault-injection hooks for the crash/timeout tests: keyed
-        // on the job's seed so one spec in a sweep misbehaves while
-        // its siblings run normally.
-        if (seedHookMatches("QCC_SWEEPD_TEST_CRASH_SEED",
-                            request.spec.seed))
-            std::abort();
-        if (seedHookMatches("QCC_SWEEPD_TEST_SLEEP_SEED",
-                            request.spec.seed))
-            std::this_thread::sleep_for(std::chrono::seconds(30));
-
-        Experiment experiment(request.spec);
-        const ExperimentResult result = experiment.run();
-
-        WorkerStoreStats stats;
-        const CacheStats cs = globalCircuitCache().stats();
-        const StoreStats ss = storeStats();
-        stats.compileHits = cs.hits;
-        stats.compileMisses = cs.misses;
-        stats.circuitDiskHits = ss.circuitDiskHits;
-        stats.problemBuilds = ss.problemBuilds;
-        stats.problemDiskHits = ss.problemDiskHits;
-        stats.problemMemHits = ss.problemMemHits;
-
-        // Telemetry riders: the worker's span buffer (only when
-        // tracing is on — the events carry this process's pid, so
-        // the service's merged timeline separates workers) and its
-        // metrics snapshot (always; counters are how the service
-        // cross-checks worker totals without tracing).
-        std::string traceDoc;
-        if (traceEnabled() && traceEventCount())
-            traceDoc = traceEventsArrayJson();
-        reply = encodeDoneReply(result, stats, traceDoc,
-                                metricsJson());
-    } catch (const SpecError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
-    } catch (const RegistryError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
-    } catch (const JsonError &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/true);
-    } catch (const std::exception &e) {
-        reply = encodeFailedReply(e.what(), /*fast_fail=*/false);
-    }
-
-    return writeFrame(replyFd, reply) ? 0 : 3;
+    return writeFrame(replyFd, runRequest(payload)) ? 0 : 3;
 }
 
 } // namespace sweepd

@@ -3,7 +3,9 @@
  * sweepd worker entry point — the `--worker` mode of the qcc_sweepd
  * binary (and of test binaries that self-exec). A worker is one
  * job's whole process: it reads a single framed JobRequest from
- * stdin, runs it through the ordinary qcc::Experiment facade, writes
+ * stdin, applies the request's WorkerConfig (the parent's store,
+ * trace, log and lane settings), runs the job through the same
+ * runJobAttempt the in-thread substrate uses, writes
  * a single framed reply to (the original) stdout, and exits. Crash
  * isolation and the hard timeout both fall out of the process
  * boundary: a SIGSEGV/abort or a kill-at-deadline takes down only

@@ -66,18 +66,9 @@ constexpr uint64_t kVqeStreamReadout = 4;
 /** Driver configuration. */
 struct VqeDriverOptions
 {
-    enum class Method
-    {
-        Lbfgs,           ///< quasi-Newton, analytic shift gradients
-        GradientDescent, ///< steepest descent on shift gradients
-        Spsa,            ///< two evaluations/iter, noise-robust
-        NelderMead,      ///< derivative-free simplex
-    };
-    Method method = Method::Lbfgs;
-
     /**
-     * Optimizer strategy (api OptimizerRegistry or
-     * makeVqeOptimizer); when null, one is built from `method`.
+     * Optimizer strategy (e.g. from the api OptimizerRegistry);
+     * when null, the driver uses L-BFGS (LbfgsVqeOptimizer).
      */
     std::shared_ptr<const VqeOptimizer> optimizer;
 
@@ -140,8 +131,8 @@ class VqeDriver
   public:
     /**
      * Strategy-injection constructor: the driver estimates energies
-     * through `strategy` and minimizes with opts.optimizer (or the
-     * opts.method fallback).
+     * through `strategy` and minimizes with opts.optimizer (or
+     * L-BFGS when it is null).
      */
     VqeDriver(const PauliSum &h, const Ansatz &ansatz,
               VqeDriverOptions opts,

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "ansatz/uccsd.hh"
+#include "api/registries.hh"
 #include "chem/molecules.hh"
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
@@ -188,7 +189,7 @@ TEST(Backend, VqeRunsAgainstEitherBackend)
     NoiseModel nm;
     nm.cnotDepolarizing = 1e-3;
     VqeDriverOptions o;
-    o.method = VqeDriverOptions::Method::Spsa;
+    o.optimizer = optimizerRegistry().get("spsa")();
     o.spsaIter = 120;
     VqeResult rNoisy = minimizeOn(densityMatrixModel(a.nQubits, nm),
                                   prob.hamiltonian, a, o);

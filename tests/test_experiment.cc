@@ -313,7 +313,7 @@ TEST(Experiment, SampledFacadeMatchesLegacySampledDriver)
         buildMolecularProblem(benchmarkMolecule("H2"), 0.74);
     Ansatz ansatz = buildUccsd(prob.nSpatial, prob.nElectrons);
     VqeDriverOptions o;
-    o.method = VqeDriverOptions::Method::Spsa;
+    o.optimizer = optimizerRegistry().get("spsa")();
     o.spsaIter = 30;
     o.sampling.shots = 2048;
     VqeDriver legacy(

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "ansatz/uccsd.hh"
+#include "api/registries.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -326,10 +327,9 @@ TEST(Gradient, DescentWithAnalyticGradientsReachesFci)
 {
     const Fixture &fix = h2();
     const double exact = lanczosGroundEnergy(fix.prob.hamiltonian);
-    for (auto method : {VqeDriverOptions::Method::GradientDescent,
-                        VqeDriverOptions::Method::Lbfgs}) {
+    for (const char *method : {"gd", "lbfgs"}) {
         VqeDriverOptions o;
-        o.method = method;
+        o.optimizer = optimizerRegistry().get(method)();
         o.maxIter = 300;
         VqeDriver driver(
             fix.prob.hamiltonian, fix.ansatz, o,
@@ -337,8 +337,8 @@ TEST(Gradient, DescentWithAnalyticGradientsReachesFci)
                 "ideal",
                 EstimationConfig{&fix.prob.hamiltonian, {}, {}, {}}));
         VqeResult res = driver.run();
-        EXPECT_NEAR(res.energy, exact, 1e-5) << int(method);
-        EXPECT_TRUE(res.converged) << int(method);
+        EXPECT_NEAR(res.energy, exact, 1e-5) << method;
+        EXPECT_TRUE(res.converged) << method;
         // The driver counted its shifted evaluations.
         EXPECT_GT(res.evals, 0);
     }

@@ -29,6 +29,7 @@
 #include "common/logging.hh"
 #include "common/subprocess.hh"
 #include "store/store.hh"
+#include "sweep/sweep_engine.hh"
 #include "sweepd/protocol.hh"
 #include "sweepd/service.hh"
 #include "sweepd/worker.hh"
@@ -429,6 +430,244 @@ TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
     jo.timings = false;
     jo.trace = false;
     EXPECT_EQ(first.result.json(jo), second.result.json(jo));
+}
+
+// ---------------------------------------------------------------
+// worker settings travel in the request frame
+
+/** Send one raw request payload to a worker; its decoded reply. */
+sweepd::WorkerReply
+exchangeWithWorker(const std::string &payload)
+{
+    sweepd::WorkerReply reply;
+    ChildProcess child = spawnChildProcess(
+        {selfPath(), std::string(sweepd::kWorkerFlag)});
+    EXPECT_GT(child.pid, 0);
+    if (child.pid <= 0)
+        return reply;
+    EXPECT_TRUE(writeFrame(child.stdinFd, payload));
+    closeFd(child.stdinFd);
+    std::string back;
+    const FrameStatus fs = readFrame(child.stdoutFd, back, 120000.0);
+    closeFd(child.stdoutFd);
+    reapProcess(child.pid);
+    EXPECT_EQ(fs, FrameStatus::Ok) << frameStatusName(fs);
+    EXPECT_TRUE(sweepd::decodeReply(back, reply));
+    return reply;
+}
+
+/** Options for a run that neither resumes nor writes through. */
+sweepd::SweepdOptions
+plainServiceOptions()
+{
+    sweepd::SweepdOptions opts = serviceOptions();
+    opts.resume = false;
+    opts.writeThrough = false;
+    return opts;
+}
+
+TEST(SweepdProtocol, WorkerConfigRoundTripsAndIsValidated)
+{
+    ExperimentSpec spec;
+    spec.molecule = "H2";
+    sweepd::WorkerConfig config;
+    config.storeDir = "/tmp/a \"quoted\" dir";
+    config.storeEnabled = true;
+    config.trace = true;
+    config.logLevel = LogLevel::Debug;
+    config.jobWidth = 3;
+    const std::string payload =
+        sweepd::encodeJobRequest(sweepd::JobRequest{spec, config});
+    const sweepd::JobRequest back = sweepd::decodeJobRequest(payload);
+    ASSERT_TRUE(back.config.has_value());
+    EXPECT_EQ(back.config->storeDir, config.storeDir);
+    EXPECT_TRUE(back.config->storeEnabled);
+    EXPECT_TRUE(back.config->trace);
+    EXPECT_EQ(back.config->logLevel, LogLevel::Debug);
+    EXPECT_EQ(back.config->jobWidth, 3u);
+    // No config member: the worker keeps its own settings.
+    EXPECT_FALSE(sweepd::decodeJobRequest(
+                     sweepd::encodeJobRequest(sweepd::JobRequest{spec}))
+                     .config.has_value());
+
+    // Untrusted bytes: every malformed member is a SpecError.
+    const std::string good = R"("store_dir": "", "store": false, )"
+                             R"("trace": false, "log": "info", )";
+    for (const std::string &config : {
+             std::string("[]"),
+             "{" + good + R"("job_width": -1})",
+             "{" + good + R"("job_width": 1e12})",
+             "{" + good + R"("job_width": "2"})",
+             "{" + good + R"("job_width": 1, "extra": 0})",
+             "{" + good + R"("store": true})",
+             std::string(R"({"store_dir": 7, "store": false, )"
+                         R"("trace": false, "log": "info", )"
+                         R"("job_width": 1})"),
+             std::string(R"({"store_dir": "", "store": false, )"
+                         R"("trace": false, "log": "loud", )"
+                         R"("job_width": 1})"),
+         }) {
+        const std::string bad =
+            R"({"spec": {"molecule": "H2"}, "config": )" + config + "}";
+        EXPECT_THROW(sweepd::decodeJobRequest(bad), SpecError) << config;
+    }
+
+    // ...which a worker answers with a fast-fail reply, not a crash.
+    const sweepd::WorkerReply reply = exchangeWithWorker(
+        R"({"spec": {"molecule": "H2"}, "config": {"store": 1}})");
+    EXPECT_FALSE(reply.done);
+    EXPECT_TRUE(reply.fastFail);
+    EXPECT_NE(reply.error.find("config"), std::string::npos)
+        << reply.error;
+}
+
+// Must run before StoreDirSetThroughTheApiReachesEveryWorker:
+// setStoreDir() has no way back to reading QCC_STORE_DIR.
+TEST(SweepdService, NoStoreSetThroughTheApiReachesEveryWorker)
+{
+    TempDir tier("nostore_tier");
+    EnvGuard storeEnv("QCC_STORE_DIR", tier.path());
+    EnvGuard storeOn("QCC_STORE", "1");
+    ASSERT_EQ(storeDir(), tier.path());
+
+    // The environment names a store; the API turns it off. Workers
+    // must follow the API, not the environment they inherit.
+    setStoreEnabled(false);
+    sweepd::SweepdRunStats stats;
+    ResultStore store = sweepd::SweepdService(plainServiceOptions())
+                            .submit(smallSweep(), &stats);
+    setStoreEnabled(true);
+
+    EXPECT_EQ(store.countWithStatus(JobStatus::Done), 4u);
+    EXPECT_EQ(stats.workers.circuitDiskHits, 0u);
+    EXPECT_EQ(stats.workers.problemDiskHits, 0u);
+    EXPECT_GT(stats.workers.problemBuilds, 0u);
+    // Nothing was written through to the disabled tier.
+    EXPECT_TRUE(std::filesystem::is_empty(tier.path()));
+}
+
+TEST(SweepdService, StoreDirSetThroughTheApiReachesEveryWorker)
+{
+    EnvGuard storeEnv("QCC_STORE_DIR", "");
+    ::unsetenv("QCC_STORE_DIR"); // the guard restores any prior value
+    EnvGuard storeOn("QCC_STORE", "1");
+    TempDir tier("flag_tier");
+
+    // The store is configured only through the API, the way
+    // `qcc_sweepd --store-dir` configures it.
+    setStoreDir(tier.path());
+    sweepd::SweepdService service(plainServiceOptions());
+    sweepd::SweepdRunStats cold, warm;
+    service.submit(smallSweep(), &cold);
+    service.submit(smallSweep(), &warm);
+    setStoreDir("");
+
+    EXPECT_GT(cold.workers.problemBuilds, 0u);
+    // Warm: every worker reads its chemistry back from the tier.
+    EXPECT_EQ(warm.workers.problemBuilds, 0u);
+    EXPECT_GT(warm.workers.problemDiskHits, 0u);
+}
+
+// ---------------------------------------------------------------
+// one runner, two substrates
+
+/** Cheap simulation-free two-job sweep. */
+SweepSpec
+estimateSweep()
+{
+    return SweepSpec::fromJson(R"({
+      "name": "sweepd_contract",
+      "base": {"molecule": "H2", "bond": 0.74, "kind": "estimate"},
+      "axes": {"grouping": ["greedy", "graph-coloring"]},
+      "emit_timings": false
+    })");
+}
+
+/**
+ * Run `spec` in-thread or in forked workers with the same runner
+ * options; returns the adopted count, `ran` the jobs executed.
+ */
+size_t
+runOnSubstrate(bool process, const SweepSpec &spec,
+               SweepRunnerOptions opts, size_t &ran)
+{
+    ran = 0;
+    opts.progress = [&ran](const SweepProgress &) { ++ran; };
+    if (!process) {
+        SweepEngine engine(spec, opts);
+        engine.run();
+        return engine.adopted();
+    }
+    sweepd::SweepdOptions service = serviceOptions();
+    static_cast<SweepRunnerOptions &>(service) = opts;
+    sweepd::SweepdRunStats stats;
+    sweepd::SweepdService(service).submit(spec, &stats);
+    return stats.resumed;
+}
+
+TEST(SweepSubstrates, OneResumeContractOnBoth)
+{
+    for (const bool process : {false, true}) {
+        SCOPED_TRACE(process ? "process" : "thread");
+        TempDir dir("contract");
+        EnvGuard jsonEnv("QCC_JSON", dir.path());
+        size_t ran = 0;
+
+        // A named document that is missing, or that does not parse,
+        // throws before any job runs.
+        SweepRunnerOptions named;
+        named.resumeFrom = dir.path() + "/missing.json";
+        EXPECT_THROW(runOnSubstrate(process, estimateSweep(), named, ran),
+                     SweepError);
+        EXPECT_EQ(ran, 0u);
+        named.resumeFrom = dir.path() + "/truncated.json";
+        std::ofstream(named.resumeFrom) << "{\"jobs\": [";
+        EXPECT_THROW(runOnSubstrate(process, estimateSweep(), named, ran),
+                     SweepError);
+        EXPECT_EQ(ran, 0u);
+
+        // An absent default document is a fresh run; write-through
+        // leaves one behind, and the next run adopts every job.
+        SweepRunnerOptions byDefault;
+        byDefault.resume = true;
+        byDefault.writeThrough = true;
+        EXPECT_EQ(runOnSubstrate(process, estimateSweep(), byDefault, ran),
+                  0u);
+        EXPECT_EQ(ran, 2u);
+        EXPECT_EQ(runOnSubstrate(process, estimateSweep(), byDefault, ran),
+                  2u);
+        EXPECT_EQ(ran, 0u);
+
+        // A default document that exists but does not parse is the
+        // same error as a named one.
+        std::ofstream(dir.path() + "/SWEEP_sweepd_contract.json")
+            << "{\"jobs\": [";
+        EXPECT_THROW(runOnSubstrate(process, estimateSweep(), byDefault, ran),
+                     SweepError);
+        EXPECT_EQ(ran, 0u);
+    }
+}
+
+TEST(SweepSubstrates, ThreadAndProcessGiveIdenticalDocuments)
+{
+    // Four jobs, eight lanes asked for: both substrates clamp the
+    // width to the job count.
+    SweepEngineOptions threadOpts;
+    threadOpts.concurrency = 8;
+    sweepd::SweepdOptions processOpts = plainServiceOptions();
+    processOpts.concurrency = 8;
+
+    SweepEngine engine(smallSweep(), threadOpts);
+    sweepd::SweepdService service(processOpts);
+    EXPECT_EQ(engine.concurrency(), 4u);
+    EXPECT_EQ(service.concurrency(smallSweep()), 4u);
+
+    // emit_timings is off, so the documents are a pure function of
+    // the spec and the seed, whichever substrate ran the jobs.
+    const ResultStore inThread = engine.run();
+    const ResultStore inProcess = service.submit(smallSweep());
+    EXPECT_EQ(inThread.countWithStatus(JobStatus::Done), 4u);
+    EXPECT_EQ(inThread.json(), inProcess.json());
 }
 
 // ---------------------------------------------------------------

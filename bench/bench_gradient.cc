@@ -2,14 +2,17 @@
  * @file
  * Gradient-engine study: serial (per-evaluation full replay) vs
  * batched (prefix-shared / pair-differenced, thread-pool fan-out)
- * parameter-shift gradients on LiH, in all three evaluation modes,
- * plus analytic vs sampled gradient quality at a sweep of shot
- * budgets. Headline numbers land in BENCH_gradient.json under
- * QCC_JSON. The batched-vs-serial ratio on the gate-level noisy mode
- * is algorithmic (pair-difference suffix sweeps), so it holds even
- * on one core; the statevector modes additionally scale with
- * QCC_THREADS, drawing their per-task scratch states from the
- * common/parallel buffer pool. QCC_FULL=1 adds a 14-qubit NH3 row.
+ * parameter-shift gradients on LiH, in all three evaluation modes;
+ * the adjoint sweep the ideal mode actually runs against the batched
+ * shift rule (ms and max |delta g|); and analytic vs sampled
+ * gradient quality at a sweep of shot budgets. Headline numbers land
+ * in BENCH_gradient.json under QCC_JSON. The batched-vs-serial ratio
+ * on the gate-level noisy mode is algorithmic (pair-difference
+ * suffix sweeps), so it holds even on one core; the statevector
+ * modes additionally scale with QCC_THREADS, drawing their per-task
+ * scratch states from the common/parallel buffer pool. The adjoint
+ * ratio is algorithmic too: O(R) rotations against O(R^2).
+ * QCC_FULL=1 adds a 14-qubit NH3 row for both comparisons.
  */
 
 #include <chrono>
@@ -132,6 +135,7 @@ main()
         [&] { serial.gradient(params, svMake, svEnergy); },
         [&] { batched.gradientStatevector(params, svEstimate); });
 
+
     auto dmMake = [&] { return makeDm({ansatz.nQubits, noise}); };
     auto dmEnergy = [&](SimBackend &b, size_t) {
         return b.expectation(prob.hamiltonian);
@@ -158,13 +162,46 @@ main()
             batched.gradientStatevector(params, sampledEstimate);
         });
 
-    // Gradient quality: sampled estimates against the analytic
-    // parameter-shift gradient as the shot budget grows.
+    // Ideal mode's own route: one adjoint backward sweep against the
+    // batched shift rule it replaced.
+    auto adjointRow = [&](const std::string &name,
+                          const ParameterShiftEngine &engine,
+                          const std::vector<double> &x,
+                          const StateEstimator &estimate, int n) {
+        std::vector<double> shift =
+            engine.gradientStatevector(x, estimate);
+        std::vector<double> adjoint = engine.gradientAdjoint(x);
+        auto t0 = clock_type::now();
+        for (int r = 0; r < n; ++r)
+            shift = engine.gradientStatevector(x, estimate);
+        const double shiftMs = millisSince(t0) / n;
+        t0 = clock_type::now();
+        for (int r = 0; r < n; ++r)
+            adjoint = engine.gradientAdjoint(x);
+        const double adjointMs = millisSince(t0) / n;
+        const double dg = maxAbsDiff(adjoint, shift);
+        std::printf("%-18s %12.3f %12.3f %8.1fx %10.1e\n",
+                    name.c_str(), shiftMs, adjointMs,
+                    shiftMs / adjointMs, dg);
+        json.row(name, {{"batched_shift_ms", shiftMs},
+                        {"adjoint_ms", adjointMs},
+                        {"speedup", shiftMs / adjointMs},
+                        {"max_abs_dg", dg}});
+    };
+    auto adjointHeader = [] {
+        std::printf("%-18s %12s %12s %9s %10s\n", "ideal route",
+                    "shift ms", "adjoint ms", "speedup", "max|dg|");
+    };
+    qccbench::rule();
+    adjointHeader();
+    adjointRow("ideal_adjoint", batched, params, svEstimate, reps);
+
+    // Gradient quality: sampled estimates against the exact
+    // (adjoint) gradient as the shot budget grows.
     qccbench::rule();
     std::printf("analytic vs sampled gradient (max |delta| over "
                 "components)\n");
-    std::vector<double> exact =
-        batched.gradientStatevector(params, svEstimate);
+    std::vector<double> exact = batched.gradientAdjoint(params);
     const std::vector<uint64_t> budgets =
         qccbench::fullMode()
             ? std::vector<uint64_t>{1024, 8192, 65536, 262144}
@@ -232,6 +269,9 @@ main()
         json.row("ideal_14q", {{"serial_ms", serialMs},
                                {"batched_ms", batchedMs},
                                {"speedup", serialMs / batchedMs}});
+        adjointHeader();
+        adjointRow("ideal_adjoint_14q", bigBatched, bigParams,
+                   bigEstimate, 1);
     }
 
     json.write();

@@ -1,5 +1,7 @@
 #include "common/parallel.hh"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -136,6 +138,13 @@ namespace {
 thread_local bool insideJob = false;
 
 /**
+ * Set in the child of a fork() made after the pool started (a
+ * gtest death test, say): the child inherits the pool object but
+ * none of its worker threads, so its sweeps must run inline.
+ */
+std::atomic<bool> forkedFromPool{false};
+
+/**
  * Persistent pool of parallelThreads() - 1 workers plus the calling
  * thread. One job runs at a time; workers claim chunk indices from a
  * shared atomic counter, so uneven chunks load-balance naturally.
@@ -148,10 +157,16 @@ class ThreadPool
     {
         // Under a process-wide lane cap (QCC_JOB_WIDTH) the extra
         // workers could never win a lane — don't create them.
-        static ThreadPool pool(
+        // Deliberately immortal, like the metrics registry: a child
+        // forked without exec (a gtest death test) inherits this
+        // object but none of its workers, and its condition
+        // variables still count the parent's waiters, so notifying
+        // or destroying them in the child's exit() blocks forever.
+        // Idle workers simply end with the process.
+        static ThreadPool *pool = new ThreadPool(
             envLaneCap() ? std::min(parallelThreads(), envLaneCap())
                          : parallelThreads());
-        return pool;
+        return *pool;
     }
 
     void
@@ -195,20 +210,11 @@ class ThreadPool
   private:
     explicit ThreadPool(unsigned n_threads)
     {
+        pthread_atfork(nullptr, nullptr, [] {
+            forkedFromPool.store(true, std::memory_order_relaxed);
+        });
         for (unsigned i = 0; i + 1 < n_threads; ++i)
-            workers.emplace_back([this] { workerLoop(); });
-    }
-
-    ~ThreadPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mtx);
-            stopping = true;
-            ++generation;
-        }
-        cv.notify_all();
-        for (auto &w : workers)
-            w.join();
+            std::thread([this] { workerLoop(); }).detach();
     }
 
     void
@@ -255,11 +261,7 @@ class ThreadPool
         for (;;) {
             {
                 std::unique_lock<std::mutex> lk(mtx);
-                cv.wait(lk, [&] {
-                    return stopping || generation != seen;
-                });
-                if (stopping)
-                    return;
+                cv.wait(lk, [&] { return generation != seen; });
                 seen = generation;
             }
             if (acquireLane()) {
@@ -276,7 +278,6 @@ class ThreadPool
         }
     }
 
-    std::vector<std::thread> workers;
     std::mutex jobMutex; ///< serializes run() callers
     std::mutex mtx;
     std::condition_variable cv, doneCv;
@@ -287,7 +288,6 @@ class ThreadPool
     std::atomic<uint64_t> submitNs{0};
     size_t totalChunks = 0;
     uint64_t generation = 0;
-    bool stopping = false;
 };
 
 } // namespace
@@ -303,8 +303,10 @@ poolRun(size_t n_chunks, const std::function<void(size_t)> &chunk_fn)
     // results match the pooled execution bit for bit — which lets
     // width-capped sweep jobs proceed without ever touching (or
     // waiting on) the shared pool.
+    // A forked child has no pool workers: it runs inline too.
     const unsigned lanes = parallelLanes();
-    if (insideJob || lanes <= 1 || n_chunks == 1) {
+    if (insideJob || lanes <= 1 || n_chunks == 1 ||
+        forkedFromPool.load(std::memory_order_relaxed)) {
         static MetricCounter &inlineJobs =
             metricCounter("parallel.inline_jobs");
         inlineJobs.add();

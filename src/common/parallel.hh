@@ -69,7 +69,8 @@ namespace detail {
  * blocking until every chunk finishes. Chunks must be independent.
  * Nested calls from inside a chunk run serially, as does any call
  * while parallelLanes() <= 1 (single core, QCC_THREADS=1, or a
- * width cap of 1).
+ * width cap of 1) and any call in a child forked (without exec)
+ * after the pool started, which has none of the pool's workers.
  */
 void poolRun(size_t n_chunks, const std::function<void(size_t)> &chunk_fn);
 

@@ -191,6 +191,21 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     return -2.0 * iPow(e + 1).real() * t;
 }
 
+cplx
+pauliOverlap(const cplx *lam, const cplx *chi, size_t dim, uint64_t x,
+             uint64_t z)
+{
+    // (P chi)[b] = i^{|x&z|} (-1)^{|z & (b^x)|} chi[b^x]
+    //            = i^{|x&z|} sigma (-1)^{|z & b|} chi[b^x],
+    // so the sweep sums the b-parity form and the constant
+    // i^{|x&z|} sigma is applied once.
+    const cplx s = parallelReduce(
+        0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
+            return ranges::pauliOverlap(lam, chi, lo, hi, x, z);
+        });
+    return iPow(std::popcount(x & z)) * paritySign(z, x) * s;
+}
+
 double
 diagonalGroupExpectation(const cplx *amp, size_t dim, const double *w,
                          const uint64_t *zmask, size_t n_terms)
@@ -278,6 +293,16 @@ expectationGeneric(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     for (size_t b = 0; b < dim; ++b)
         s += std::conj(amp[b]) * pauliPhase(x, z, b ^ x) * amp[b ^ x];
     return s.real();
+}
+
+cplx
+pauliOverlapGeneric(const cplx *lam, const cplx *chi, size_t dim,
+                    uint64_t x, uint64_t z)
+{
+    cplx s = 0.0;
+    for (size_t b = 0; b < dim; ++b)
+        s += std::conj(lam[b]) * pauliPhase(x, z, b ^ x) * chi[b ^ x];
+    return s;
 }
 
 } // namespace kern

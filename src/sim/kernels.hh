@@ -80,6 +80,14 @@ void accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
 double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
 
 /**
+ * <lam| P |chi> for two states of the same dimension, read-only: the
+ * adjoint gradient's per-rotation inner product, taken without
+ * forming P|chi> in a scratch copy.
+ */
+cplx pauliOverlap(const cplx *lam, const cplx *chi, size_t dim,
+                  uint64_t x, uint64_t z);
+
+/**
  * One grouped sweep for a qubit-wise-commuting family already rotated
  * to its diagonal basis: returns sum_t w[t] * sum_b |amp[b]|^2 *
  * (-1)^{|zmask[t] & b|}. The per-amplitude probability is computed
@@ -112,6 +120,8 @@ void applyPauliRotationGeneric(cplx *amp, size_t dim, uint64_t x,
                                uint64_t z, double theta);
 double expectationGeneric(const cplx *amp, size_t dim, uint64_t x,
                           uint64_t z);
+cplx pauliOverlapGeneric(const cplx *lam, const cplx *chi, size_t dim,
+                         uint64_t x, uint64_t z);
 /** @} */
 
 } // namespace kern

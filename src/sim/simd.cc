@@ -87,6 +87,18 @@ expectPairOne(const cplx *amp, size_t b, size_t b2, uint64_t z,
                  amp[b].imag() * amp[b2].real());
 }
 
+/** (-1)^{|z&b|} conj(lam[b]) chi[b^x] in real arithmetic. */
+inline void
+overlapOne(const cplx *lam, const cplx *chi, size_t b, uint64_t x,
+           uint64_t z, double &re, double &im)
+{
+    const double sb = paritySign(z, b);
+    const double lr = lam[b].real(), li = lam[b].imag();
+    const double cr = chi[b ^ x].real(), ci = chi[b ^ x].imag();
+    re += sb * (lr * cr + li * ci);
+    im += sb * (lr * ci - li * cr);
+}
+
 inline double
 groupExpectOne(const cplx *amp, size_t b, uint64_t g, const double *w,
                const uint64_t *zmask, size_t n_terms)
@@ -206,6 +218,16 @@ expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
         s += expectPairOne(amp, b, b ^ x, z, sigma_pos);
     }
     return s;
+}
+
+cplx
+pauliOverlapScalar(const cplx *lam, const cplx *chi, size_t b_lo,
+                   size_t b_hi, uint64_t x, uint64_t z)
+{
+    double re = 0.0, im = 0.0;
+    for (size_t b = b_lo; b < b_hi; ++b)
+        overlapOne(lam, chi, b, x, z, re, im);
+    return {re, im};
 }
 
 double
@@ -634,6 +656,47 @@ expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
     return hsum(acc) + tail;
 }
 
+QCC_AVX2 cplx
+pauliOverlapAvx2(const cplx *lamc, const cplx *chic, size_t b_lo,
+                 size_t b_hi, uint64_t x, uint64_t z)
+{
+    const double *lam = reinterpret_cast<const double *>(lamc);
+    const double *chi = reinterpret_cast<const double *>(chic);
+    // Partners of the even-aligned pair (b, b+1) are the aligned pair
+    // at (b^x) & ~1: in order when x has bit 0 clear, lane-swapped
+    // when it is set (pivot 1).
+    const bool swapLanes = (x & 1) != 0;
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    // conj(l) c = (lr cr + li ci) + i (lr ci - li cr): the real part
+    // sums l * c, the imaginary part sums l * swap(c) with the odd
+    // lanes negated.
+    const __m256d evecIm = _mm256_setr_pd(1.0, -1.0, e0, -e0);
+    __m256d accRe = _mm256_setzero_pd();
+    __m256d accIm = _mm256_setzero_pd();
+    double re = 0.0, im = 0.0;
+    size_t b = b_lo;
+    if ((b & 1) && b < b_hi) {
+        overlapOne(lamc, chic, b, x, z, re, im);
+        ++b;
+    }
+    for (; b + 2 <= b_hi; b += 2) {
+        const __m256d s0 = _mm256_set1_pd(paritySign(z, b));
+        const __m256d l = _mm256_loadu_pd(lam + 2 * b);
+        __m256d c = _mm256_loadu_pd(chi + 2 * ((b ^ x) & ~size_t(1)));
+        if (swapLanes)
+            c = _mm256_permute2f128_pd(c, c, 0x01);
+        accRe = _mm256_fmadd_pd(_mm256_mul_pd(l, c),
+                                _mm256_mul_pd(s0, evec), accRe);
+        accIm = _mm256_fmadd_pd(
+            _mm256_mul_pd(l, _mm256_shuffle_pd(c, c, 0x5)),
+            _mm256_mul_pd(s0, evecIm), accIm);
+    }
+    if (b < b_hi)
+        overlapOne(lamc, chic, b, x, z, re, im);
+    return {hsum(accRe) + re, hsum(accIm) + im};
+}
+
 QCC_AVX2 double
 expectDiagAvx2(const cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z)
 {
@@ -899,6 +962,17 @@ expectPairs(const cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
                                sigma_pos);
 #endif
     return expectPairsScalar(amp, k_lo, k_hi, x, z, pivot, sigma_pos);
+}
+
+cplx
+pauliOverlap(const cplx *lam, const cplx *chi, size_t b_lo,
+             size_t b_hi, uint64_t x, uint64_t z)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive())
+        return pauliOverlapAvx2(lam, chi, b_lo, b_hi, x, z);
+#endif
+    return pauliOverlapScalar(lam, chi, b_lo, b_hi, x, z);
 }
 
 double

@@ -117,6 +117,19 @@ double expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
                          uint64_t x, uint64_t z, uint64_t pivot,
                          bool sigma_pos);
 
+/**
+ * Pauli-overlap partial sum over basis indices [b_lo, b_hi):
+ * sum_b (-1)^{|z&b|} conj(lam[b]) chi[b^x] (see kern::pauliOverlap
+ * for the constant that turns it into <lam|P|chi>). Read-only, and
+ * one form for every x: x == 0 reads chi[b], and an x with bit 0 set
+ * finds the partners of an aligned (b, b+1) pair swapped inside one
+ * 256-bit register, so the AVX2 body has no scalar fallback.
+ */
+cplx pauliOverlap(const cplx *lam, const cplx *chi, size_t b_lo,
+                  size_t b_hi, uint64_t x, uint64_t z);
+cplx pauliOverlapScalar(const cplx *lam, const cplx *chi, size_t b_lo,
+                        size_t b_hi, uint64_t x, uint64_t z);
+
 /** sum_b (-1)^{|z&b|} |amp[b]|^2 over [b_lo, b_hi). */
 double expectDiag(const cplx *amp, size_t b_lo, size_t b_hi,
                   uint64_t z);

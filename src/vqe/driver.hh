@@ -1,8 +1,9 @@
 /**
  * @file
  * Unified VQE driver: one object owning the evaluation loop — an
- * EstimationStrategy (state model + readout), a parameter-shift
- * gradient engine, and a classical VqeOptimizer strategy. The
+ * EstimationStrategy (state model + readout), a gradient engine
+ * (adjoint sweep in ideal mode, parameter shift in the sampled and
+ * noisy modes), and a classical VqeOptimizer strategy. The
  * strategy seam composes the evaluation modes:
  *
  *  - ideal:         statevector state, grouped analytic expectation;
@@ -15,7 +16,7 @@
  *                   end-to-end hardware model, composed from the
  *                   same two parts rather than a new code path;
  *
- * and the optimizers (L-BFGS with analytic parameter-shift
+ * and the optimizers (L-BFGS with exact analytic
  * gradients, plain gradient descent, SPSA, Nelder-Mead) are
  * registry-backed strategy objects (vqe/optimizers.hh). Every run
  * records a machine-readable trace — per-point energy, estimator
@@ -154,7 +155,10 @@ class VqeDriver
      */
     double energy(const std::vector<double> &params);
 
-    /** Parameter-shift gradient at `params` (2R evaluations). */
+    /**
+     * Exact gradient at `params`, routed by the strategy (adjoint
+     * sweep or parameter shift); counted as 2R evaluations.
+     */
     std::vector<double> gradient(const std::vector<double> &params);
 
     /** Minimize from a zero start with the configured optimizer. */
@@ -171,7 +175,7 @@ class VqeDriver
     /** Gradient calls so far (optimizer evals accounting). */
     uint64_t gradientCount() const { return gradCount; }
 
-    /** Shifted energy evaluations per gradient (2R). */
+    /** Evaluations charged per gradient (2R, see VqeResult::evals). */
     size_t shiftEvaluationsPerGradient() const
     {
         return shiftEngine.numShiftedEvaluations();

@@ -60,11 +60,9 @@ AnalyticEstimation::gradient(const ParameterShiftEngine &shift,
 {
     if (shots_out)
         *shots_out = 0;
+    // Pure state: one adjoint backward sweep, O(R) rotations.
     if (model.pureState)
-        return shift.gradientStatevector(
-            params, [this](const Statevector &psi, size_t) {
-                return engine.energy(psi);
-            });
+        return shift.gradientAdjoint(params);
     // Mixed state: the pair-differenced noisy sweep (one suffix
     // application per rotation through the cached compiled circuit).
     return shift.gradientNoisy(params, model.noise);

@@ -16,8 +16,8 @@
  * pairing the density-matrix model with the sampled readout — no new
  * code path. Strategies own their engines (ExpectationEngine or
  * SamplingEngine), construct fresh backends, and pick the optimal
- * parameter-shift gradient route for their state model; the driver
- * only derives rng streams and keeps the trace.
+ * gradient route for their state model; the driver only derives rng
+ * streams and keeps the trace.
  *
  * Modes are looked up by name in estimationRegistry() ("ideal",
  * "noisy", "sampled", "noisy_sampled"); unknown names throw a
@@ -53,8 +53,9 @@ struct EnergyEstimate
 
 /**
  * The state-model half of a strategy: an identifier, whether the
- * state is pure (enabling the prefix-shared statevector gradient
- * fast path), the noise channels (density-matrix models), and a
+ * state is pure (enabling the statevector gradient paths: the
+ * adjoint sweep for analytic readout, prefix-shared shifts for
+ * sampled), the noise channels (density-matrix models), and a
  * factory for fresh backends.
  */
 struct StateModel
@@ -73,7 +74,7 @@ StateModel densityMatrixModel(unsigned n, NoiseModel noise);
 
 /**
  * How the driver turns a prepared state into an energy estimate and
- * a parameter-shift gradient. Implementations are immutable after
+ * an exact gradient. Implementations are immutable after
  * construction except for engine-internal scratch; measure() and
  * gradient() derive all stochastic behavior from the caller's
  * streams, so a strategy adds no hidden state to the seed contract.
@@ -119,9 +120,10 @@ class EstimationStrategy
     }
 
     /**
-     * Full parameter-shift gradient through `engine`, routed over
-     * this strategy's optimal path (prefix-shared statevector
-     * replays, pair-differenced noisy sweeps, or generic per-task
+     * Full gradient through `engine`, routed over this strategy's
+     * optimal path (the adjoint sweep for an analytic pure state;
+     * parameter shift otherwise: prefix-shared statevector replays,
+     * pair-differenced noisy sweeps, or generic per-task
      * backends). `call_stream` seeds per-task readout streams;
      * `shots_out`, when non-null, receives the shots the gradient
      * spent.

@@ -7,6 +7,7 @@
 #include "obs/trace.hh"
 #include "compiler/pipeline.hh"
 #include "sim/density_matrix.hh"
+#include "sim/kernels.hh"
 
 namespace qcc {
 
@@ -86,6 +87,55 @@ ParameterShiftEngine::assemble(
         grad[r.param] += r.coeff * pairDiffs[i] * invSin;
     }
     return grad;
+}
+
+std::vector<double>
+ParameterShiftEngine::gradientAdjoint(
+    const std::vector<double> &params) const
+{
+    TraceSpan span("gradient.adjoint");
+    span.arg("rotations", shiftable.size());
+    const std::vector<double> base = baseAngles(params);
+    const unsigned n = source->nQubits;
+    const auto &rots = unrolled.rotations;
+
+    // chi = psi(phi), then lambda = H psi with the real coefficient
+    // parts: the operator ExpectationEngine reports the energy of.
+    Statevector chi(n, source->hfMask);
+    for (size_t j = 0; j < rots.size(); ++j)
+        chi.applyPauliRotation(base[j], rots[j].string);
+    Statevector lambda(n);
+    std::fill(lambda.amplitudes().begin(), lambda.amplitudes().end(),
+              cplx(0.0));
+    for (const PauliTerm &t : ham.terms())
+        chi.accumulatePauli(t.coeff.real(), t.string,
+                            lambda.amplitudes());
+
+    // Backward sweep. With chi_j the state after rotation j and
+    // lambda_j = U_{R-1..j+1}^dag H psi, dE/dphi_j =
+    // 2 Re <lambda_j| i P_j |chi_j> = -2 Im <lambda_j| P_j |chi_j>;
+    // un-rotating both states by exp(-i phi_j P_j) steps to j - 1.
+    // Identity rotations are a common phase on both states and
+    // cancel in every overlap, so the sweep skips them. assemble()
+    // divides by sin(2s), so the derivative enters scaled by it.
+    const double sin2s = std::sin(2.0 * opts.shift);
+    const size_t dim = chi.dim();
+    std::vector<double> diffs(shiftable.size());
+    size_t i = shiftable.size();
+    for (size_t j = rots.size(); j-- > 0;) {
+        const PauliString &p = rots[j].string;
+        if (p.isIdentity())
+            continue;
+        const cplx o = kern::pauliOverlap(lambda.amplitudes().data(),
+                                          chi.amplitudes().data(), dim,
+                                          p.xMask(), p.zMask());
+        diffs[--i] = -2.0 * o.imag() * sin2s;
+        if (i == 0)
+            break; // nothing left to differentiate
+        chi.applyPauliRotation(-base[j], p);
+        lambda.applyPauliRotation(-base[j], p);
+    }
+    return assemble(diffs);
 }
 
 std::vector<double>

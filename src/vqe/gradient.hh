@@ -1,15 +1,24 @@
 /**
  * @file
- * Batched parameter-shift gradients for the VQE outer loop. Every
- * ansatz rotation exp(i phi P) with P^2 = I makes the energy a
- * sinusoid in phi, so the exact derivative is a two-point rule:
- * dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s). Parameters shared by
- * several rotations (UCCSD singles span 2 strings, doubles 8)
- * accumulate by the chain rule over per-rotation shifts — 2R shifted
- * energies for R non-identity rotations.
+ * Exact gradients for the VQE outer loop. Every ansatz rotation
+ * exp(i phi P) with P^2 = I makes the energy a sinusoid in phi;
+ * parameters shared by several rotations (UCCSD singles span 2
+ * strings, doubles 8) accumulate by the chain rule over the
+ * per-rotation derivatives. Two methods compute the same numbers:
  *
- * Batching the 2R evaluations into one engine call is what makes
- * them cheap; the engine exploits it three ways:
+ *  - adjoint state (ideal pure-state mode; Jones & Gacon,
+ *    arXiv:2009.02823): prepare chi = psi(phi), set lambda = H psi,
+ *    then walk the rotations backwards, reading
+ *    dE/dphi_j = -2 Im <lambda| P_j |chi> and un-rotating both
+ *    states. O(R) rotations and two statevectors whatever R is;
+ *  - parameter shift, the two-point rule
+ *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s) over 2R shifted
+ *    energies, kept where the shifted states themselves must be
+ *    read: the sampled modes (every shifted state is measured) and
+ *    the density-matrix modes (a mixed state has no adjoint).
+ *
+ * The parameter-shift paths batch their 2R evaluations into one call
+ * and exploit it three ways:
  *
  *  - prefix sharing: the shifted replay for rotation j agrees with
  *    the base replay up to rotation j, so a forward sweep snapshots
@@ -58,7 +67,7 @@ using StateEnergyFn =
 using StateEstimator =
     std::function<double(const Statevector &psi, size_t task)>;
 
-/** Parameter-shift configuration. */
+/** Parameter-shift configuration (the adjoint sweep has none). */
 struct GradientOptions
 {
     /**
@@ -80,7 +89,7 @@ struct GradientOptions
     size_t maxPrefixBytes = size_t{1} << 30;
 };
 
-/** Precompiled parameter-shift plan for one (H, ansatz) pair. */
+/** Precompiled gradient plan for one (H, ansatz) pair. */
 class ParameterShiftEngine
 {
   public:
@@ -88,9 +97,21 @@ class ParameterShiftEngine
                          GradientOptions opts = {});
 
     /**
+     * Exact dE/dtheta of the ideal pure-state energy
+     * sum_t Re(c_t) <P_t> (the operator ExpectationEngine
+     * evaluates) by one adjoint backward sweep: one forward replay,
+     * one H psi, then per rotation one read-only overlap and two
+     * un-rotations. Holds two statevectors whatever R is and runs
+     * no per-rotation copy; equals the shift rule up to
+     * floating-point rounding, and repeats bit for bit.
+     */
+    std::vector<double>
+    gradientAdjoint(const std::vector<double> &params) const;
+
+    /**
      * dE/dtheta at `params` through prefix-shared statevector
-     * replays; `estimate` reads each shifted state (analytic grouped
-     * sweep, shot sampler, ...).
+     * replays; `estimate` reads each shifted state. The sampled
+     * modes use it: their estimator measures the shifted states.
      */
     std::vector<double>
     gradientStatevector(const std::vector<double> &params,
@@ -118,7 +139,11 @@ class ParameterShiftEngine
              const BackendFactory &make,
              const StateEnergyFn &energy) const;
 
-    /** Shifted energy evaluations per gradient (2R). */
+    /**
+     * Shifted energy evaluations per parameter-shift gradient (2R);
+     * the driver's evaluation count charges every gradient this
+     * much, whichever method computed it.
+     */
     size_t numShiftedEvaluations() const
     {
         return 2 * shiftable.size();

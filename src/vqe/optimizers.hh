@@ -31,7 +31,7 @@ class VqeOptimizer
     virtual VqeResult minimize(VqeDriver &driver) const = 0;
 };
 
-/** Quasi-Newton L-BFGS on analytic parameter-shift gradients. */
+/** Quasi-Newton L-BFGS on exact analytic gradients. */
 class LbfgsVqeOptimizer : public VqeOptimizer
 {
   public:

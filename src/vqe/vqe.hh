@@ -32,7 +32,14 @@ struct VqeResult
     double energy = 0.0;
     std::vector<double> params;
     int iterations = 0;  ///< outer-loop iterations (paper metric)
-    int evals = 0;       ///< energy evaluations
+    /**
+     * Energy evaluations: direct estimates plus 2R per gradient (R
+     * non-identity rotations), the parameter-shift cost, whichever
+     * method computed the gradient — the ideal-mode adjoint sweep
+     * is charged the same, so counts stay comparable across modes
+     * and over time.
+     */
+    int evals = 0;
     bool converged = false;
 };
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Parameter-shift gradient tests: agreement with central finite
- * differences on every evaluation path (ideal statevector, noisy
- * pair-difference, generic backend replay), bit-for-bit equality of
- * batched and serial execution and of the prefix-shared fast paths
- * against full replays, CircuitCache reuse on the gate-level path,
- * and convergence of the gradient-driven optimizers.
+ * Gradient tests: agreement with central finite differences on every
+ * evaluation path (ideal statevector, noisy pair-difference, generic
+ * backend replay), the adjoint sweep against the shift rule on H2,
+ * LiH and 12-qubit BeH2 and its dispatch from the ideal driver,
+ * bit-for-bit equality of batched and serial execution and of the
+ * prefix-shared fast paths against full replays, CircuitCache reuse
+ * on the gate-level path, and convergence of the gradient-driven
+ * optimizers.
  */
 
 #include <cmath>
@@ -15,6 +17,7 @@
 #include "api/registries.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compiler/cache.hh"
 #include "ferm/hamiltonian.hh"
@@ -60,6 +63,52 @@ lih()
     return fix;
 }
 
+const Fixture &
+beh2()
+{
+    static const Fixture fix = [] {
+        setVerbose(false);
+        MolecularProblem prob =
+            buildMolecularProblem(benchmarkMolecule("BeH2"), 1.33);
+        Ansatz a = buildUccsd(prob.nSpatial, prob.nElectrons);
+        return Fixture{std::move(prob), std::move(a)};
+    }();
+    return fix;
+}
+
+/** Seeded uniform parameters in [-0.3, 0.3). */
+std::vector<double>
+randomParams(unsigned n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> p(n);
+    for (auto &v : p)
+        v = rng.uniform(-0.3, 0.3);
+    return p;
+}
+
+/** Random rotations and a random 8-term H on n qubits. */
+std::pair<PauliSum, Ansatz>
+randomProblem(unsigned n, unsigned nRot, uint64_t seed)
+{
+    Rng rng(seed);
+    Ansatz a;
+    a.nQubits = n;
+    a.nParams = nRot;
+    a.hfMask = rng.index(uint64_t{1} << n);
+    for (unsigned j = 0; j < nRot; ++j)
+        a.rotations.push_back(
+            {j, 0.6,
+             PauliString(n, rng.index(uint64_t{1} << n),
+                         rng.index(uint64_t{1} << n))});
+    PauliSum h(n);
+    for (int t = 0; t < 8; ++t)
+        h.add(rng.uniform(-1.0, 1.0),
+              PauliString(n, rng.index(uint64_t{1} << n),
+                          rng.index(uint64_t{1} << n)));
+    return {std::move(h), std::move(a)};
+}
+
 std::vector<double>
 testParams(unsigned n)
 {
@@ -100,6 +149,61 @@ TEST(Gradient, ShiftMatchesFiniteDifferences_Ideal)
     auto fd =
         finiteDifferenceGradient(fix.ansatz, params, make, energy);
     EXPECT_LT(maxAbsDiff(g, fd), 1e-7);
+    // The ideal mode's adjoint sweep, against the same reference.
+    EXPECT_LT(maxAbsDiff(engine.gradientAdjoint(params), fd), 1e-7);
+}
+
+TEST(Gradient, AdjointMatchesParameterShift)
+{
+    uint64_t seed = 11;
+    for (const Fixture *fix : {&h2(), &lih(), &beh2()}) {
+        ExpectationEngine ee(fix->prob.hamiltonian);
+        ParameterShiftEngine engine(fix->prob.hamiltonian,
+                                    fix->ansatz);
+        auto params = randomParams(fix->ansatz.nParams, seed++);
+        auto adjoint = engine.gradientAdjoint(params);
+        auto shift = engine.gradientStatevector(
+            params, [&](const Statevector &psi, size_t) {
+                return ee.energy(psi);
+            });
+        EXPECT_LT(maxAbsDiff(adjoint, shift), 1e-10)
+            << fix->ansatz.nQubits << " qubits";
+    }
+}
+
+TEST(Gradient, AdjointRepeatsBitForBitAtAnyWidthCap)
+{
+    // Same numbers call after call, and with sweeps capped to one
+    // lane (a concurrency-N sweep job) as uncapped: the kernels'
+    // chunking follows parallelThreads(), never the cap. The
+    // 16-qubit problem puts the overlap reduction past 2x the
+    // parallel grain, where chunk scheduling is real.
+    auto check = [](const PauliSum &h, const Ansatz &a) {
+        ParameterShiftEngine engine(h, a);
+        auto params = randomParams(a.nParams, 7);
+        const auto first = engine.gradientAdjoint(params);
+        EXPECT_EQ(engine.gradientAdjoint(params), first);
+        ParallelWidthCap cap(1);
+        EXPECT_EQ(engine.gradientAdjoint(params), first);
+    };
+    check(lih().prob.hamiltonian, lih().ansatz);
+    auto [h, a] = randomProblem(16, 6, 13);
+    check(h, a);
+}
+
+TEST(Gradient, IdealDriverDispatchesToAdjoint)
+{
+    const Fixture &fix = lih();
+    auto params = randomParams(fix.ansatz.nParams, 9);
+    VqeDriverOptions o;
+    VqeDriver driver(
+        fix.prob.hamiltonian, fix.ansatz, o,
+        makeEstimationStrategy(
+            "ideal",
+            EstimationConfig{&fix.prob.hamiltonian, {}, {}, {}}));
+    ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz,
+                                o.gradient);
+    EXPECT_EQ(driver.gradient(params), engine.gradientAdjoint(params));
 }
 
 TEST(Gradient, ShiftMatchesFiniteDifferences_Noisy)
@@ -184,27 +288,6 @@ TEST(Gradient, BatchedEqualsSerialAtParallelKernelSizes)
     // paths (16-qubit statevector, 8-qubit density matrix: both
     // 65536-element arrays, past 2x the parallel grain), pinning the
     // bit-for-bit guarantee where chunk scheduling is real.
-    auto randomProblem = [](unsigned n, unsigned nRot,
-                            uint64_t seed) {
-        Rng rng(seed);
-        Ansatz a;
-        a.nQubits = n;
-        a.nParams = nRot;
-        a.hfMask = rng.index(uint64_t{1} << n);
-        for (unsigned j = 0; j < nRot; ++j)
-            a.rotations.push_back(
-                {j, 0.6,
-                 PauliString(n, rng.index(uint64_t{1} << n),
-                             rng.index(uint64_t{1} << n))});
-        PauliSum h(n);
-        for (int t = 0; t < 8; ++t)
-            h.add(rng.uniform(-1.0, 1.0),
-                  PauliString(n, rng.index(uint64_t{1} << n),
-                              rng.index(uint64_t{1} << n)));
-        return std::pair<PauliSum, Ansatz>(std::move(h),
-                                           std::move(a));
-    };
-
     {
         auto [h, a] = randomProblem(16, 4, 3);
         ExpectationEngine ee(h);

@@ -8,7 +8,11 @@
 
 #include <array>
 #include <cmath>
+#include <csignal>
+#include <cstdlib>
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "circuit/circuit.hh"
 #include "common/parallel.hh"
@@ -248,6 +252,44 @@ TEST(Kernels, ParallelSweepMatchesSerial)
     EXPECT_NEAR(e, 1.0, 1e-10);
 }
 
+TEST(Kernels, ForkedChildSweepsInlineAndExits)
+{
+    // A child forked after the pool ran (a gtest death test, say)
+    // inherits the pool object but none of its workers. Its sweeps
+    // must run inline, with the same chunking and so the same bits,
+    // and its exit() must not wait on the parent's workers. Each
+    // child here sweeps, checks, and must exit within the deadline;
+    // the parent sweeps on the pool right before every fork.
+    auto amp = randomAmplitudes(17, 5); // past 2x the parallel grain
+    const double ref =
+        kern::expectation(amp.data(), amp.size(), 0, 0x15);
+    for (int rep = 0; rep < 40; ++rep) {
+        ASSERT_EQ(kern::expectation(amp.data(), amp.size(), 0, 0x15),
+                  ref);
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            const double e =
+                kern::expectation(amp.data(), amp.size(), 0, 0x15);
+            std::exit(e == ref ? 0 : 2);
+        }
+        int status = 0;
+        pid_t done = 0;
+        for (int ms = 0; ms < 10000 && done == 0; ++ms) {
+            done = waitpid(pid, &status, WNOHANG);
+            if (done == 0)
+                usleep(1000);
+        }
+        if (done == 0) {
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+            FAIL() << "forked child hung at exit, rep " << rep;
+        }
+        ASSERT_TRUE(WIFEXITED(status)) << "rep " << rep;
+        ASSERT_EQ(WEXITSTATUS(status), 0) << "rep " << rep;
+    }
+}
+
 TEST(Kernels, GroupedExpectationMatchesTermwise)
 {
     Rng rng(23);
@@ -380,6 +422,76 @@ TEST(Simd, ExpectationMatchesScalarAndGeneric)
             }
             EXPECT_NEAR(vec, ref, 1e-12) << "simd " << p.str();
             EXPECT_NEAR(sca, ref, 1e-12) << "scalar " << p.str();
+        }
+    }
+}
+
+TEST(Simd, PauliOverlapMatchesScalarAndGeneric)
+{
+    // x masks with the lowest set bit at qubit 0 (partners swapped
+    // inside one AVX2 register), at qubit 1, at qubit >= 2, and
+    // x = 0; both overlap states random and distinct.
+    Rng rng(47);
+    for (unsigned n : {1u, 2u, 3u, 6u, 13u}) {
+        const uint64_t mask = (uint64_t{1} << n) - 1;
+        auto lam = randomAmplitudes(n, 500 + n);
+        auto chi = randomAmplitudes(n, 600 + n);
+        // Lowest set bit of x at `low`; -1 stands for x = 0.
+        for (int low : {-1, 0, 1, 2, 4}) {
+            if (low >= int(n))
+                continue;
+            for (int rep = 0; rep < 4; ++rep) {
+                const uint64_t z = rng.index(uint64_t{1} << n) & mask;
+                uint64_t x = 0;
+                if (low >= 0) {
+                    const uint64_t bit = uint64_t{1} << low;
+                    x = ((rng.index(uint64_t{1} << n) << low) & mask) |
+                        bit;
+                }
+                const std::string what =
+                    "n=" + std::to_string(n) +
+                    " x=" + std::to_string(x) +
+                    " z=" + std::to_string(z);
+                const cplx ref = kern::pauliOverlapGeneric(
+                    lam.data(), chi.data(), lam.size(), x, z);
+                cplx vec, sca;
+                {
+                    SimdGuard g(true);
+                    vec = kern::pauliOverlap(lam.data(), chi.data(),
+                                             lam.size(), x, z);
+                }
+                {
+                    SimdGuard g(false);
+                    sca = kern::pauliOverlap(lam.data(), chi.data(),
+                                             lam.size(), x, z);
+                }
+                EXPECT_NEAR(std::abs(vec - ref), 0.0, 1e-12)
+                    << "simd " << what;
+                EXPECT_NEAR(std::abs(sca - ref), 0.0, 1e-12)
+                    << "scalar " << what;
+
+                // Range bodies over odd [lo, hi) against the plain
+                // definition of the partial sum.
+                const size_t dim = lam.size();
+                const size_t lo = dim > 2 ? 1 : 0;
+                const size_t hi = dim > 2 ? dim - 1 : dim;
+                cplx part = 0.0;
+                for (size_t b = lo; b < hi; ++b)
+                    part += (std::popcount(z & b) & 1 ? -1.0 : 1.0) *
+                            std::conj(lam[b]) * chi[b ^ x];
+                cplx rv, rs;
+                {
+                    SimdGuard g(true);
+                    rv = kern::ranges::pauliOverlap(
+                        lam.data(), chi.data(), lo, hi, x, z);
+                }
+                rs = kern::ranges::pauliOverlapScalar(
+                    lam.data(), chi.data(), lo, hi, x, z);
+                EXPECT_NEAR(std::abs(rv - part), 0.0, 1e-12)
+                    << "simd range " << what;
+                EXPECT_NEAR(std::abs(rs - part), 0.0, 1e-12)
+                    << "scalar range " << what;
+            }
         }
     }
 }

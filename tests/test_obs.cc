@@ -37,6 +37,13 @@ using namespace qcc;
 
 static std::atomic<uint64_t> gAllocs{0};
 
+// The nothrow forms must be replaced too: std::stable_sort (the
+// trace export sorts events) takes its scratch buffer from the
+// nothrow operator new and returns it through the plain operator
+// delete. Left to the runtime, that allocation would come back
+// through free() here, which AddressSanitizer reports as an
+// alloc-dealloc mismatch.
+//
 // The replacements forward new -> malloc and delete -> free by
 // design; GCC's allocator-pair matching can't see that and flags
 // the free() as mismatched.
@@ -45,10 +52,22 @@ static std::atomic<uint64_t> gAllocs{0};
 #endif
 
 void *
-operator new(size_t n)
+operator new(size_t n, const std::nothrow_t &) noexcept
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](size_t n, const std::nothrow_t &t) noexcept
+{
+    return ::operator new(n, t);
+}
+
+void *
+operator new(size_t n)
+{
+    if (void *p = ::operator new(n, std::nothrow))
         return p;
     throw std::bad_alloc();
 }
@@ -79,6 +98,18 @@ operator delete(void *p, size_t) noexcept
 
 void
 operator delete[](void *p, size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

@@ -161,8 +161,9 @@ runWorkerJob(const ExperimentSpec &spec)
     const ExitStatus es = reapProcess(child.pid);
     EXPECT_EQ(fs, FrameStatus::Ok) << frameStatusName(fs);
     EXPECT_TRUE(es.ok()) << es.describe();
-    if (fs == FrameStatus::Ok)
+    if (fs == FrameStatus::Ok) {
         EXPECT_TRUE(sweepd::decodeReply(payload, reply));
+    }
     return reply;
 }
 

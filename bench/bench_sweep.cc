@@ -81,28 +81,20 @@ struct RunOutcome
     size_t problemBuilds = 0;
 };
 
+/**
+ * Time `run` (a callable returning the sweep's ResultStore) and take
+ * the cache and store counter deltas around it. The counters are
+ * the metrics registry's, so a process-pool run's deltas are what
+ * its workers shipped back and the service merged in.
+ */
+template <class Run>
 RunOutcome
-runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
-         ResultStore *store_out = nullptr, bool cap_width = true)
+measure(Run &&run, ResultStore *store_out = nullptr)
 {
-    // Every row starts with empty in-memory caches; whether jobs
-    // after the first warm them up is the row's cold_cache knob, and
-    // whether the persistent tier backs them is the caller's
-    // setStoreDir state.
-    globalCircuitCache().clear();
-    globalProblemStore().clearMemory();
     const CacheStats before = globalCircuitCache().stats();
     const StoreStats sBefore = storeStats();
-
-    SweepEngineOptions opts;
-    opts.concurrency = concurrency;
-    opts.coldCompileCache = cold_cache;
-    opts.coldProblemCache = cold_cache;
-    opts.capJobWidth = cap_width;
-    SweepEngine engine(spec, opts);
-
     const auto t0 = clock_type::now();
-    ResultStore store = engine.run();
+    ResultStore store = run();
     RunOutcome out;
     out.wallMs = std::chrono::duration<double, std::milli>(
                      clock_type::now() - t0)
@@ -123,6 +115,26 @@ runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
     return out;
 }
 
+RunOutcome
+runStudy(const SweepSpec &spec, unsigned concurrency, bool cold_cache,
+         ResultStore *store_out = nullptr, bool cap_width = true)
+{
+    // Every row starts with empty in-memory caches; whether jobs
+    // after the first warm them up is the row's cold_cache knob, and
+    // whether the persistent tier backs them is the caller's
+    // setStoreDir state.
+    globalCircuitCache().clear();
+    globalProblemStore().clearMemory();
+
+    SweepEngineOptions opts;
+    opts.concurrency = concurrency;
+    opts.coldCompileCache = cold_cache;
+    opts.coldProblemCache = cold_cache;
+    opts.capJobWidth = cap_width;
+    SweepEngine engine(spec, opts);
+    return measure([&engine] { return engine.run(); }, store_out);
+}
+
 void
 printRow(const char *label, const RunOutcome &o)
 {
@@ -140,11 +152,11 @@ speedup(const RunOutcome &base, const RunOutcome &o)
 /**
  * The same sweep through the sweepd process pool (one forked worker
  * per job, qcc_sweepd --worker). Each worker has its own in-process
- * caches, so the row reports what the workers themselves counted
- * (SweepdRunStats::workers): compile hits/misses, disk hits and
- * problem builds. The caller's setStoreDir() reaches every worker
- * through its request frame, so against a warm store the workers
- * read compiles and chemistry back from disk and build nothing.
+ * caches, so the row's counts are what the workers themselves
+ * counted, merged into this process's registry. The caller's
+ * setStoreDir() reaches every worker through its request frame, so
+ * against a warm store the workers read compiles and chemistry back
+ * from disk and build nothing.
  */
 RunOutcome
 runProcessPool(const SweepSpec &spec, unsigned concurrency,
@@ -157,20 +169,7 @@ runProcessPool(const SweepSpec &spec, unsigned concurrency,
     opts.writeThrough = false;
 
     sweepd::SweepdService service(opts);
-    sweepd::SweepdRunStats stats;
-    const auto t0 = clock_type::now();
-    ResultStore store = service.submit(spec, &stats);
-    RunOutcome out;
-    out.wallMs = std::chrono::duration<double, std::milli>(
-                     clock_type::now() - t0)
-                     .count();
-    out.done = store.countWithStatus(JobStatus::Done);
-    out.cacheHits = stats.workers.compileHits;
-    out.cacheMisses = stats.workers.compileMisses;
-    out.diskHits =
-        stats.workers.circuitDiskHits + stats.workers.problemDiskHits;
-    out.problemBuilds = stats.workers.problemBuilds;
-    return out;
+    return measure([&] { return service.submit(spec); });
 }
 
 } // namespace

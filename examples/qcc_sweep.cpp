@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -92,9 +91,9 @@ usage(const char *argv0)
         "(simulation-free costing)\n"
         "  --list            print the expanded job list and exit\n"
         "  --quiet           suppress per-job progress lines\n"
-        "\nThe aggregate is written as SWEEP_<name>.json under the\n"
-        "QCC_JSON convention, falling back to the current "
-        "directory.\n",
+        "\nThe aggregate is written as SWEEP_<name>.json and the "
+        "counters as\nMETRICS_<name>.json under the QCC_JSON "
+        "convention, falling back to\nthe current directory.\n",
         argv0, argv0, kServiceDefaults ? "process" : "thread");
     return 2;
 }
@@ -240,13 +239,11 @@ runSpec(const Cli &cli, const std::string &path)
 
     ResultStore store("", false);
     size_t resumed = 0;
-    std::optional<sweepd::WorkerStoreStats> workers;
     try {
         if (cli.process) {
             sweepd::SweepdRunStats stats;
             store = sweepd::SweepdService(cli.opts).submit(spec, &stats);
             resumed = stats.resumed;
-            workers = stats.workers;
         } else {
             SweepEngine engine(
                 spec, static_cast<const SweepEngineOptions &>(cli.opts));
@@ -266,13 +263,19 @@ runSpec(const Cli &cli, const std::string &path)
                 store.countWithStatus(JobStatus::Skipped));
     printTables(store);
 
-    std::string sweepPath = qccJsonPath("SWEEP_" + store.name() + ".json");
-    if (sweepPath.empty()) // QCC_JSON unset: the CLI still delivers
-        sweepPath = "SWEEP_" + store.name() + ".json";
+    // The documents land under QCC_JSON; unset, the CLI still
+    // delivers them to the current directory.
+    const auto outputPath = [&store](const char *prefix) {
+        const std::string file = prefix + store.name() + ".json";
+        const std::string path = qccJsonPath(file);
+        return path.empty() ? file : path;
+    };
     std::printf("\n");
-    printWritten(store.writeTo(sweepPath));
+    printWritten(store.writeTo(outputPath("SWEEP_")));
 
     if (storeEnabled()) {
+        // Registry counters: under --isolate process they are the
+        // sums the workers shipped back.
         const StoreStats ss = storeStats();
         std::printf("persistent store (%s): circuits %zu hit / %zu "
                     "written / %zu bad; problems %zu memo + %zu disk "
@@ -281,37 +284,12 @@ runSpec(const Cli &cli, const std::string &path)
                     ss.circuitDiskWrites, ss.circuitBadEntries,
                     ss.problemMemHits, ss.problemDiskHits,
                     ss.problemBuilds, ss.problemDiskWrites);
-        std::string statsPath =
-            qccJsonPath("STORE_" + store.name() + ".json");
-        if (statsPath.empty())
-            statsPath = "STORE_" + store.name() + ".json";
-        if (FILE *f = std::fopen(statsPath.c_str(), "w")) {
-            std::fputs(storeStatsJson().c_str(), f);
-            std::fclose(f);
-            printWritten(statsPath);
-        }
     }
 
-    if (workers) {
-        // Ground truth for the merged telemetry: the sum of what
-        // every done worker reported in its reply. The trace-smoke
-        // CI job parses this line and asserts the METRICS document
-        // agrees with it.
-        std::printf("workers: compile_hits=%llu compile_misses=%llu "
-                    "circuit_disk_hits=%llu problem_builds=%llu "
-                    "problem_disk_hits=%llu problem_mem_hits=%llu\n",
-                    (unsigned long long)workers->compileHits,
-                    (unsigned long long)workers->compileMisses,
-                    (unsigned long long)workers->circuitDiskHits,
-                    (unsigned long long)workers->problemBuilds,
-                    (unsigned long long)workers->problemDiskHits,
-                    (unsigned long long)workers->problemMemHits);
-    }
-
-    // A trace only when QCC_TRACE is on, metrics whenever the
-    // registry is enabled.
+    // A trace only when QCC_TRACE is on; the counters whenever the
+    // registry is enabled, next to the SWEEP document.
     printWritten(writeTraceJson(store.name()));
-    printWritten(writeMetricsJson(store.name()));
+    printWritten(writeMetricsJson(outputPath("METRICS_")));
     std::fflush(stdout);
     return store.countWithStatus(JobStatus::Failed) == 0 ? 0 : 1;
 }

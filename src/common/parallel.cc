@@ -45,26 +45,6 @@ parallelThreads()
 
 namespace {
 
-/**
- * Process-wide lane cap (QCC_JOB_WIDTH, 0/unset = uncapped): a user
- * knob for capping a whole process. Sweeps cap their own jobs with
- * a ParallelWidthCap instead (in-thread, and inside each forked
- * worker from its request frame).
- */
-unsigned
-envLaneCap()
-{
-    static const unsigned n = [] {
-        if (const char *env = std::getenv("QCC_JOB_WIDTH")) {
-            long v = std::strtol(env, nullptr, 10);
-            if (v >= 1)
-                return unsigned(v);
-        }
-        return 0u;
-    }();
-    return n;
-}
-
 thread_local unsigned tlsLaneCap = 0;
 
 } // namespace
@@ -73,8 +53,6 @@ unsigned
 parallelLanes()
 {
     unsigned lanes = parallelThreads();
-    if (envLaneCap() && envLaneCap() < lanes)
-        lanes = envLaneCap();
     if (tlsLaneCap && tlsLaneCap < lanes)
         lanes = tlsLaneCap;
     return lanes;
@@ -155,17 +133,13 @@ class ThreadPool
     static ThreadPool &
     instance()
     {
-        // Under a process-wide lane cap (QCC_JOB_WIDTH) the extra
-        // workers could never win a lane — don't create them.
         // Deliberately immortal, like the metrics registry: a child
         // forked without exec (a gtest death test) inherits this
         // object but none of its workers, and its condition
         // variables still count the parent's waiters, so notifying
         // or destroying them in the child's exit() blocks forever.
         // Idle workers simply end with the process.
-        static ThreadPool *pool = new ThreadPool(
-            envLaneCap() ? std::min(parallelThreads(), envLaneCap())
-                         : parallelThreads());
+        static ThreadPool *pool = new ThreadPool(parallelThreads());
         return *pool;
     }
 
@@ -236,8 +210,8 @@ class ThreadPool
     /**
      * Claim one of the job's worker lanes; false sends this worker
      * back to sleep, leaving the job to the caller and the lanes
-     * that did win. Capped jobs (ParallelWidthCap, QCC_JOB_WIDTH)
-     * budget fewer lanes than there are workers.
+     * that did win. Capped jobs (ParallelWidthCap) budget fewer
+     * lanes than there are workers.
      */
     bool
     acquireLane()

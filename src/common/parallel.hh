@@ -30,9 +30,8 @@ unsigned parallelThreads();
 
 /**
  * Pool lanes a data-parallel sweep started on the calling thread may
- * occupy right now: parallelThreads() clamped by the process-wide
- * `QCC_JOB_WIDTH` cap and any ParallelWidthCap active on this
- * thread. Chunk structure is NOT derived from this (see
+ * occupy right now: parallelThreads() clamped by any
+ * ParallelWidthCap active on this thread. Chunk structure is NOT derived from this (see
  * ParallelWidthCap), so capping changes scheduling, never results.
  */
 unsigned parallelLanes();

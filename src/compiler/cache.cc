@@ -10,27 +10,29 @@ namespace qcc {
 namespace {
 
 /**
- * Registry mirrors of the hot CacheStats counters, so
- * METRICS_*.json and cross-process sweepd aggregation see compile
- * cache behavior without teaching them about CacheStats. The
- * authoritative per-instance counts stay in CacheStats (bench rows
- * take deltas from it); these only ever increment.
+ * The cache's event counts live only in the process-wide metrics
+ * registry (so METRICS_*.json and sweepd's merged worker counts see
+ * them, and stats() reads them back); this struct is one-time name
+ * resolution, cached because registry lookup takes a lock.
  */
-struct CacheMetrics
+struct Counters
 {
     MetricCounter &hits = metricCounter("compile.cache.hits");
     MetricCounter &misses = metricCounter("compile.cache.misses");
+    MetricCounter &rebinds = metricCounter("compile.cache.rebinds");
+    MetricCounter &evictions =
+        metricCounter("compile.cache.evictions");
     MetricCounter &diskHits =
         metricCounter("compile.cache.disk_hits");
     MetricCounter &diskStores =
         metricCounter("compile.cache.disk_stores");
 };
 
-CacheMetrics &
-cacheMetrics()
+Counters &
+counters()
 {
-    static CacheMetrics m;
-    return m;
+    static Counters c;
+    return c;
 }
 
 } // namespace
@@ -61,17 +63,17 @@ CircuitCache::insertMemo(const CacheKey &key,
                          std::shared_ptr<const CachedCompile> sp)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    if (counters.entries >= cap) {
+    if (entries >= cap) {
         table.clear();
-        counters.evictions += counters.entries;
-        counters.entries = 0;
+        counters().evictions.add(entries);
+        entries = 0;
     }
     auto &bucket = table[key.hash()];
     for (const auto &[k, v] : bucket)
         if (k == key)
             return false;
     bucket.emplace_back(key, std::move(sp));
-    ++counters.entries;
+    ++entries;
     return true;
 }
 
@@ -107,24 +109,17 @@ CircuitCache::lookup(const CacheKey &key,
             // Promote into the memory table (no write-back to disk:
             // the entry just came from there).
             insertMemo(key, found);
-            cacheMetrics().diskHits.add();
-            std::lock_guard<std::mutex> lock(mtx);
-            ++counters.diskHits;
+            counters().diskHits.add();
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        if (!found) {
-            ++counters.misses;
-            cacheMetrics().misses.add();
-            return false;
-        }
-        ++counters.hits;
-        cacheMetrics().hits.add();
-        if (!found->rzIndex.empty())
-            ++counters.rebinds;
+    if (!found) {
+        counters().misses.add();
+        return false;
     }
+    counters().hits.add();
+    if (!found->rzIndex.empty())
+        counters().rebinds.add();
 
     // Copy and rebind outside the lock: rewrite each memoized RZ
     // with the caller's angles.
@@ -148,9 +143,7 @@ CircuitCache::insert(const CacheKey &key, CachedCompile entry)
     }
     if (tier && tier->save(key, *sp)) {
         // Write-through ran outside the lock; best effort.
-        cacheMetrics().diskStores.add();
-        std::lock_guard<std::mutex> lock(mtx);
-        ++counters.diskStores;
+        counters().diskStores.add();
     }
 }
 
@@ -158,16 +151,25 @@ void
 CircuitCache::clear()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    counters.evictions += counters.entries;
-    counters.entries = 0;
+    counters().evictions.add(entries);
+    entries = 0;
     table.clear();
 }
 
 CacheStats
 CircuitCache::stats() const
 {
+    const Counters &c = counters();
+    CacheStats s;
+    s.hits = c.hits.value();
+    s.misses = c.misses.value();
+    s.rebinds = c.rebinds.value();
+    s.evictions = c.evictions.value();
+    s.diskHits = c.diskHits.value();
+    s.diskStores = c.diskStores.value();
     std::lock_guard<std::mutex> lock(mtx);
-    return counters;
+    s.entries = entries;
+    return s;
 }
 
 CircuitCache &

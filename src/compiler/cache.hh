@@ -87,13 +87,18 @@ struct CachedCompile
     size_t swapCount = 0;
 };
 
-/** Hit/miss counters (monotonic over the cache lifetime). */
+/**
+ * Snapshot of the cache counters (CircuitCache::stats()). All but
+ * `entries` read the process-wide `compile.cache.*` registry
+ * counters (obs/metrics), so they include the counts a sweepd
+ * service merged in from its workers and reset with resetMetrics().
+ */
 struct CacheStats
 {
     size_t hits = 0;     ///< memory + disk hits
     size_t misses = 0;
     size_t rebinds = 0;  ///< hits that rewrote at least one angle
-    size_t entries = 0;  ///< current resident entries
+    size_t entries = 0;  ///< resident entries of this table
     size_t evictions = 0;
     size_t diskHits = 0;   ///< hits served by the persistent tier
     size_t diskStores = 0; ///< fresh compiles written through to disk
@@ -158,9 +163,10 @@ class CircuitCache
     /** Memoize a compile (no-op if an equal key is already present). */
     void insert(const CacheKey &key, CachedCompile entry);
 
-    /** Drop every entry (stats other than `entries` persist). */
+    /** Drop every entry (counted as evictions). */
     void clear();
 
+    /** Registry counters plus this table's resident entry count. */
     CacheStats stats() const;
 
   private:
@@ -180,7 +186,7 @@ class CircuitCache
         std::vector<std::pair<CacheKey,
                               std::shared_ptr<const CachedCompile>>>>
         table;
-    CacheStats counters;
+    size_t entries = 0; ///< pairs held in `table`
     std::shared_ptr<DiskTier> disk;
 };
 

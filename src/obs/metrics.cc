@@ -235,13 +235,9 @@ mergeMetricsDom(const JsonValue &doc)
 }
 
 std::string
-writeMetricsJson(const std::string &name)
+writeMetricsJson(const std::string &path)
 {
     if (!metricsEnabled())
-        return {};
-    const std::string path =
-        qccJsonPath("METRICS_" + name + ".json");
-    if (path.empty())
         return {};
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {

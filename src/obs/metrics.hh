@@ -2,12 +2,15 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket latency histograms with lock-free hot paths. The
- * registry is the one home for operational counts that used to be
- * scattered across StoreStats, CacheStats mirrors, and ad-hoc bench
- * plumbing; everything here snapshots into METRICS_<name>.json under
- * the QCC_JSON convention and merges across processes (sweepd
- * workers ship their snapshot back in the reply frame and the
- * service folds it into its own registry).
+ * registry is the only place an operational count is kept: the
+ * persistent stores (`store.*`) and the compile cache
+ * (`compile.cache.*`) increment registry counters, and storeStats()
+ * and CircuitCache::stats() are read-only views of them. Counts
+ * cross processes only as a registry snapshot (sweepd workers ship
+ * theirs in the reply frame's `metrics` member and the service
+ * folds it in with mergeMetricsDom), and leave a process only as
+ * METRICS_<name>.json, which qcc_sweep writes next to its
+ * SWEEP_<name>.json.
  *
  * Hot-path contract: add()/record() are a single relaxed fetch_add
  * (plus one for the histogram sum), no locks, no allocation. The
@@ -177,11 +180,11 @@ std::string metricsJson();
 bool mergeMetricsDom(const JsonValue &doc);
 
 /**
- * Write metricsJson() to METRICS_<name>.json under the QCC_JSON
- * convention; returns the path, or "" when QCC_JSON or QCC_METRICS
- * disables output.
+ * Write metricsJson() to `path` (qcc_sweep's METRICS_<name>.json
+ * sits next to its SWEEP_<name>.json); returns the path, or "" when
+ * QCC_METRICS disables output or the file cannot be written.
  */
-std::string writeMetricsJson(const std::string &name);
+std::string writeMetricsJson(const std::string &path);
 
 /** Zero every registered metric (tests and per-run resets). */
 void resetMetrics();

@@ -215,7 +215,9 @@ TraceSpan::arg(const char *key, const char *v)
     if (!live)
         return;
     appendKey(key);
-    argsJson += "\"" + jsonEscape(v) + "\"";
+    argsJson += '"';
+    argsJson += jsonEscape(v);
+    argsJson += '"';
 }
 
 void
@@ -224,7 +226,9 @@ TraceSpan::arg(const char *key, const std::string &v)
     if (!live)
         return;
     appendKey(key);
-    argsJson += "\"" + jsonEscape(v) + "\"";
+    argsJson += '"';
+    argsJson += jsonEscape(v);
+    argsJson += '"';
 }
 
 void

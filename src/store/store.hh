@@ -32,7 +32,9 @@ namespace qcc {
 
 /**
  * Monotonic counters over the process lifetime, one block per store
- * (snapshot via storeStats()). "Bad entries" are files that failed
+ * (snapshot via storeStats() of the `store.*` metrics-registry
+ * counters, which also hold the counts a sweepd service merged in
+ * from its workers). "Bad entries" are files that failed
  * validation — wrong magic/version/checksum, truncation, key
  * mismatch after a filename-hash collision — all of which demote to
  * a rebuild, never an error.
@@ -58,9 +60,6 @@ StoreStats storeStats();
 
 /** Zero every counter (benches isolate per-phase deltas). */
 void resetStoreStats();
-
-/** One-object JSON document of storeStats() plus the active config. */
-std::string storeStatsJson();
 
 /** @{ Counter increments (internal to the store implementations). */
 void countCircuitDiskHit();

@@ -8,8 +8,9 @@
  *   parent -> worker (stdin):  {"spec": { ...ExperimentSpec... },
  *                               "config": { ...WorkerConfig... }}
  *   worker -> parent (stdout): {"status": "done",
- *                               "store": { ...cache counters... },
- *                               "result": { ...ExperimentResult... }}
+ *                               "result": { ...ExperimentResult... },
+ *                               "trace": [ ...span events... ],
+ *                               "metrics": { ...registry... }}
  *                         or:  {"status": "failed",
  *                               "fast_fail": true|false,
  *                               "error": "..."}
@@ -20,9 +21,11 @@
  * a worker re-serializes byte-for-byte identically to one computed
  * in-process (the concurrency-1-vs-N identity the ResultStore
  * promises). `fast_fail` marks spec/registry errors — failures a
- * retry cannot fix. `store` carries the worker's compile-cache
- * counters so cross-process disk-tier sharing is observable (tests
- * assert a warm-store worker reports zero compile misses).
+ * retry cannot fix. `metrics` carries the worker's registry
+ * snapshot, cache and store counters included, so cross-process
+ * disk-tier sharing is observable (tests assert a warm-store worker
+ * reports zero compile misses); `trace` is present only when the
+ * worker traced.
  *
  * `config` carries the service's effective process settings, so a
  * worker runs under exactly the store, trace, log and lane settings
@@ -33,7 +36,6 @@
 #ifndef QCC_SWEEPD_PROTOCOL_HH
 #define QCC_SWEEPD_PROTOCOL_HH
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -63,39 +65,24 @@ struct JobRequest
     std::optional<WorkerConfig> config = std::nullopt;
 };
 
-/**
- * Worker-side cache counters reported with a done reply. A worker
- * starts with cold in-process caches, so these directly measure the
- * persistent tier's cross-process value: a worker running against a
- * store another process already warmed reports zero compileMisses
- * and zero problemBuilds — everything came off disk.
- */
-struct WorkerStoreStats
-{
-    uint64_t compileHits = 0;     ///< circuit-cache hits (mem+disk)
-    uint64_t compileMisses = 0;   ///< fresh compiles
-    uint64_t circuitDiskHits = 0; ///< served by the persistent tier
-    uint64_t problemBuilds = 0;   ///< full integrals/HF builds
-    uint64_t problemDiskHits = 0; ///< problems read back from disk
-    uint64_t problemMemHits = 0;  ///< in-process memo hits
-};
-
 /** Decoded worker -> parent reply. */
 struct WorkerReply
 {
     bool done = false;     ///< status == "done"
     bool fastFail = false; ///< failed: spec/registry error, no retry
     std::string error;     ///< failed: diagnostic
-    WorkerStoreStats store;
     ExperimentResult result; ///< valid when done
     /**
      * Optional telemetry riders: `trace` is the worker's Chrome
      * trace-event array (obs/trace traceEventsArrayJson, present
      * only when the worker ran with QCC_TRACE on), `metrics` its
-     * metrics-registry snapshot (obs/metrics metricsJson). The
+     * metrics-registry snapshot (obs/metrics metricsJson). A worker
+     * starts with cold in-process caches, so its counters measure
+     * the persistent tier's cross-process value directly. The
      * service adopts the first into its own trace buffers and
      * merges the second into its registry, which is what turns a
-     * process-per-job sweep into one coherent timeline.
+     * process-per-job sweep into one timeline and one set of
+     * counters.
      */
     JsonValue trace;
     JsonValue metrics;
@@ -117,7 +104,6 @@ JobRequest decodeJobRequest(const std::string &payload);
  * the member) and `metrics` a metricsJson() document ("" = omit).
  */
 std::string encodeDoneReply(const ExperimentResult &result,
-                            const WorkerStoreStats &store,
                             const std::string &trace_events = "",
                             const std::string &metrics = "");
 

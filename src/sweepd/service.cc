@@ -92,32 +92,16 @@ ForkExecutor::attempt(const ExperimentSpec &spec,
 
     // Fold the worker telemetry into the service: its span buffer
     // joins this process's timeline (the events carry the worker
-    // pid), its metrics merge into the registry, and its cache
-    // counters land in the ground-truth totals the registry must
-    // match.
+    // pid) and its counters add into the registry, where
+    // storeStats(), CircuitCache::stats() and METRICS_*.json read
+    // them.
     if (reply.trace.isArray())
         adoptTraceEventsDom(reply.trace);
     if (reply.metrics.isObject())
         mergeMetricsDom(reply.metrics);
-    {
-        std::lock_guard<std::mutex> lock(totalsMutex);
-        totals.compileHits += reply.store.compileHits;
-        totals.compileMisses += reply.store.compileMisses;
-        totals.circuitDiskHits += reply.store.circuitDiskHits;
-        totals.problemBuilds += reply.store.problemBuilds;
-        totals.problemDiskHits += reply.store.problemDiskHits;
-        totals.problemMemHits += reply.store.problemMemHits;
-    }
     out.status = JobStatus::Done;
     out.result = std::move(reply.result);
     return out;
-}
-
-WorkerStoreStats
-ForkExecutor::workerTotals() const
-{
-    std::lock_guard<std::mutex> lock(totalsMutex);
-    return totals;
 }
 
 SweepdService::SweepdService(SweepdOptions options)
@@ -139,7 +123,6 @@ SweepdService::submit(const SweepSpec &spec, SweepdRunStats *stats)
         stats->resumed = runner.adopted();
         stats->ran = stats->jobs - stats->resumed;
         stats->writtenPath = runner.writtenPath();
-        stats->workers = executor.workerTotals();
     }
     return store;
 }

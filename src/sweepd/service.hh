@@ -19,7 +19,6 @@
 #ifndef QCC_SWEEPD_SERVICE_HH
 #define QCC_SWEEPD_SERVICE_HH
 
-#include <mutex>
 #include <string>
 
 #include "sweep/sweep_runner.hh"
@@ -51,12 +50,6 @@ struct SweepdRunStats
     size_t resumed = 0; ///< adopted from the prior document
     size_t ran = 0;     ///< executed in a worker this run
     std::string writtenPath; ///< final aggregate path ("" if disabled)
-    /**
-     * Sum of the cache counters every done worker reported in its
-     * reply — the ground truth the merged metrics registry (and the
-     * trace-smoke CI cross-check) must agree with.
-     */
-    WorkerStoreStats workers;
 };
 
 /** One attempt = one forked worker (see file comment). */
@@ -74,14 +67,9 @@ class ForkExecutor final : public JobExecutor
     JobAttempt attempt(const ExperimentSpec &spec,
                        const JobBudget &budget) override;
 
-    /** Summed cache counters of every done worker so far. */
-    WorkerStoreStats workerTotals() const;
-
   private:
     std::string workerPath;
     WorkerConfig config;
-    mutable std::mutex totalsMutex;
-    WorkerStoreStats totals;
 };
 
 /** Process-per-job front door onto SweepRunner. */

@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/subprocess.hh"
-#include "compiler/cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/store.hh"
@@ -72,26 +71,15 @@ runRequest(const std::string &payload)
     if (attempt.status != JobStatus::Done)
         return encodeFailedReply(attempt.error, attempt.fastFail);
 
-    WorkerStoreStats stats;
-    const CacheStats cs = globalCircuitCache().stats();
-    const StoreStats ss = storeStats();
-    stats.compileHits = cs.hits;
-    stats.compileMisses = cs.misses;
-    stats.circuitDiskHits = ss.circuitDiskHits;
-    stats.problemBuilds = ss.problemBuilds;
-    stats.problemDiskHits = ss.problemDiskHits;
-    stats.problemMemHits = ss.problemMemHits;
-
     // Telemetry riders: the worker's span buffer (only when tracing
     // is on — the events carry this process's pid, so the service's
     // merged timeline separates workers) and its metrics snapshot
-    // (always; counters are how the service cross-checks worker
-    // totals without tracing).
+    // (always: it is the only way the worker's cache and store
+    // counts reach the service).
     std::string traceDoc;
     if (traceEnabled() && traceEventCount())
         traceDoc = traceEventsArrayJson();
-    return encodeDoneReply(attempt.result, stats, traceDoc,
-                           metricsJson());
+    return encodeDoneReply(attempt.result, traceDoc, metricsJson());
 }
 
 } // namespace

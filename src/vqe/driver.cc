@@ -239,7 +239,7 @@ VqeDriver::run()
 std::string
 VqeDriver::writeTrace(const std::string &name) const
 {
-    const std::string path = qccJsonPath("TRACE_" + name + ".json");
+    const std::string path = qccJsonPath("VQE_TRACE_" + name + ".json");
     if (path.empty())
         return {};
     std::FILE *f = std::fopen(path.c_str(), "w");

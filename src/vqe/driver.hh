@@ -21,10 +21,10 @@
  * registry-backed strategy objects (vqe/optimizers.hh). Every run
  * records a machine-readable trace — per-point energy, estimator
  * variance, cumulative shots, gradient norm — that writeTrace()
- * serializes as TRACE_<name>.json under the QCC_JSON convention, so
- * convergence and measurement-cost trajectories can be captured
- * without scraping stdout. All stochastic behavior derives from one
- * seed (default: the QCC_SEED-backed global seed).
+ * serializes as VQE_TRACE_<name>.json under the QCC_JSON
+ * convention, so convergence and measurement-cost trajectories can
+ * be captured without scraping stdout. All stochastic behavior
+ * derives from one seed (default: the QCC_SEED-backed global seed).
  *
  * Construction is strategy-injection only (the legacy EvalMode-enum
  * shim is gone): spec-level code goes through qcc::Experiment
@@ -182,7 +182,7 @@ class VqeDriver
     }
 
     /**
-     * Write the trace as TRACE_<name>.json under the QCC_JSON
+     * Write the trace as VQE_TRACE_<name>.json under the QCC_JSON
      * convention ("1" = current directory, otherwise a directory).
      * Returns the path written, or empty when QCC_JSON is unset.
      */

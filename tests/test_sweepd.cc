@@ -389,6 +389,17 @@ TEST(SweepdService, ResumeIgnoresRecordsWhoseSpecChanged)
 // ---------------------------------------------------------------
 // cross-process store sharing
 
+/** Counter `name` of a metricsJson() document (0 when absent). */
+uint64_t
+counterIn(const JsonValue &metrics, const char *name)
+{
+    uint64_t n = 0;
+    if (const JsonValue *counters = metrics.find("counters"))
+        if (const JsonValue *v = counters->find(name))
+            v->asUint64(n);
+    return n;
+}
+
 TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
 {
     TempDir storeRoot("store");
@@ -412,18 +423,18 @@ TEST(SweepdWorker, SecondWorkerServesEverythingFromTheSharedStore)
     // compiles fresh.
     const sweepd::WorkerReply first = runWorkerJob(spec);
     ASSERT_TRUE(first.done) << first.error;
-    EXPECT_EQ(first.store.problemBuilds, 1u);
-    EXPECT_EQ(first.store.problemDiskHits, 0u);
-    EXPECT_GT(first.store.compileMisses, 0u);
+    EXPECT_EQ(counterIn(first.metrics, "store.problem.builds"), 1u);
+    EXPECT_EQ(counterIn(first.metrics, "store.problem.disk_hits"), 0u);
+    EXPECT_GT(counterIn(first.metrics, "compile.cache.misses"), 0u);
 
     // Warm store, brand-new process: chemistry comes off disk and
     // every compile is a hit — zero rebuilds anywhere.
     const sweepd::WorkerReply second = runWorkerJob(spec);
     ASSERT_TRUE(second.done) << second.error;
-    EXPECT_EQ(second.store.problemBuilds, 0u);
-    EXPECT_GT(second.store.problemDiskHits, 0u);
-    EXPECT_EQ(second.store.compileMisses, 0u);
-    EXPECT_GT(second.store.circuitDiskHits, 0u);
+    EXPECT_EQ(counterIn(second.metrics, "store.problem.builds"), 0u);
+    EXPECT_GT(counterIn(second.metrics, "store.problem.disk_hits"), 0u);
+    EXPECT_EQ(counterIn(second.metrics, "compile.cache.misses"), 0u);
+    EXPECT_GT(counterIn(second.metrics, "store.circuit.disk_hits"), 0u);
 
     // Same inputs, same bytes: process isolation and the shared
     // tier change wall time, never results.
@@ -532,17 +543,20 @@ TEST(SweepdService, NoStoreSetThroughTheApiReachesEveryWorker)
     ASSERT_EQ(storeDir(), tier.path());
 
     // The environment names a store; the API turns it off. Workers
-    // must follow the API, not the environment they inherit.
+    // must follow the API, not the environment they inherit. The
+    // counts are the workers' own, merged into this registry.
     setStoreEnabled(false);
-    sweepd::SweepdRunStats stats;
+    const StoreStats before = storeStats();
     ResultStore store = sweepd::SweepdService(plainServiceOptions())
-                            .submit(smallSweep(), &stats);
+                            .submit(smallSweep());
+    const StoreStats after = storeStats();
     setStoreEnabled(true);
 
     EXPECT_EQ(store.countWithStatus(JobStatus::Done), 4u);
-    EXPECT_EQ(stats.workers.circuitDiskHits, 0u);
-    EXPECT_EQ(stats.workers.problemDiskHits, 0u);
-    EXPECT_GT(stats.workers.problemBuilds, 0u);
+    EXPECT_EQ(after.circuitDiskHits - before.circuitDiskHits, 0u);
+    EXPECT_EQ(after.problemDiskHits - before.problemDiskHits, 0u);
+    // One build per cold worker.
+    EXPECT_EQ(after.problemBuilds - before.problemBuilds, 4u);
     // Nothing was written through to the disabled tier.
     EXPECT_TRUE(std::filesystem::is_empty(tier.path()));
 }
@@ -558,15 +572,22 @@ TEST(SweepdService, StoreDirSetThroughTheApiReachesEveryWorker)
     // `qcc_sweepd --store-dir` configures it.
     setStoreDir(tier.path());
     sweepd::SweepdService service(plainServiceOptions());
-    sweepd::SweepdRunStats cold, warm;
-    service.submit(smallSweep(), &cold);
-    service.submit(smallSweep(), &warm);
+    const StoreStats s0 = storeStats();
+    service.submit(smallSweep());
+    const StoreStats s1 = storeStats();
+    service.submit(smallSweep());
+    const StoreStats s2 = storeStats();
     setStoreDir("");
 
-    EXPECT_GT(cold.workers.problemBuilds, 0u);
+    // Cold: each worker either builds its chemistry or reads back
+    // what a sibling already wrote.
+    EXPECT_GT(s1.problemBuilds - s0.problemBuilds, 0u);
+    EXPECT_EQ((s1.problemBuilds - s0.problemBuilds) +
+                  (s1.problemDiskHits - s0.problemDiskHits),
+              4u);
     // Warm: every worker reads its chemistry back from the tier.
-    EXPECT_EQ(warm.workers.problemBuilds, 0u);
-    EXPECT_GT(warm.workers.problemDiskHits, 0u);
+    EXPECT_EQ(s2.problemBuilds - s1.problemBuilds, 0u);
+    EXPECT_EQ(s2.problemDiskHits - s1.problemDiskHits, 4u);
 }
 
 // ---------------------------------------------------------------

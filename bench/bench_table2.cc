@@ -8,16 +8,29 @@
  *   - SAB on Grid17Q:  chain synthesis + SABRE on the dense grid
  * plus the "Original # of CNOTs" of the compressed chain circuits.
  * Quick mode covers molecules up to H2O; QCC_FULL=1 runs all nine.
+ *
+ * A second table times the Algorithm-1 importance scores that every
+ * compression ratio starts from, on all nine molecules in both modes
+ * (the kernel is cheap next to the compiles): the one-string
+ * reference over every rotation, and the batched stringScores on the
+ * scalar and AVX2 paths, with a check that all three agree bit for
+ * bit. Under QCC_JSON these land in BENCH_table2.json as one
+ * `importance_<molecule>` row each.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 
 #include "ansatz/compression.hh"
+#include "ansatz/importance.hh"
 #include "ansatz/uccsd.hh"
 #include "api/experiment.hh"
 #include "bench_util.hh"
 #include "chem/molecules.hh"
 #include "ferm/hamiltonian.hh"
+#include "sim/simd.hh"
 
 using namespace qcc;
 using namespace qccbench;
@@ -32,6 +45,84 @@ struct Row
     std::vector<size_t> original, mtr, sabTree, sabGrid;
 };
 
+/** Median wall time of `reps` calls of fn, in ms. */
+template <typename Fn>
+double
+medianMs(int reps, Fn &&fn)
+{
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::sort(ms.begin(), ms.end());
+    return ms[ms.size() / 2];
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+               0;
+}
+
+void
+importanceTable(JsonReport &json)
+{
+    const int reps = 3;
+    const bool simdWas = kern::simdActive();
+    rule();
+    std::printf("Algorithm 1 importance scores (ms, median of %d)\n",
+                reps);
+    std::printf("%-6s %6s %6s %11s %9s %9s %8s\n", "", "R", "T",
+                "reference", "scalar", "avx2", "bitwise");
+    for (const auto &entry : benchmarkMolecules()) {
+        MolecularProblem prob =
+            buildMolecularProblem(entry, entry.equilibriumBond);
+        Ansatz full = buildUccsd(prob.nSpatial, prob.nElectrons);
+        const PauliSum &h = prob.hamiltonian;
+
+        std::vector<double> ref, scalar, avx2;
+        const double refMs = medianMs(reps, [&] {
+            ref.clear();
+            for (const auto &r : full.rotations)
+                ref.push_back(stringImportance(r.string, h));
+        });
+        kern::setSimdEnabled(false);
+        const double scalarMs =
+            medianMs(reps, [&] { scalar = stringScores(full, h); });
+        bool same = sameBits(ref, scalar);
+        std::vector<std::pair<std::string, double>> metrics = {
+            {"R", double(full.rotations.size())},
+            {"T", double(h.terms().size())},
+            {"reference_ms", refMs},
+            {"scalar_ms", scalarMs}};
+        double avx2Ms = 0.0;
+        if (kern::simdSupported()) {
+            kern::setSimdEnabled(true);
+            avx2Ms =
+                medianMs(reps, [&] { avx2 = stringScores(full, h); });
+            same = same && sameBits(ref, avx2);
+            metrics.emplace_back("avx2_ms", avx2Ms);
+        }
+        metrics.emplace_back("bit_identical", same ? 1.0 : 0.0);
+        std::printf("%-6s %6zu %6zu %11.2f %9.2f ", entry.name.c_str(),
+                    full.rotations.size(), h.terms().size(), refMs,
+                    scalarMs);
+        if (kern::simdSupported())
+            std::printf("%9.2f", avx2Ms);
+        else
+            std::printf("%9s", "-");
+        std::printf(" %8s\n", same ? "yes" : "NO");
+        json.row("importance_" + entry.name, std::move(metrics));
+    }
+    kern::setSimdEnabled(simdWas);
+}
+
 } // namespace
 
 int
@@ -40,6 +131,7 @@ main()
     setVerbose(false);
     banner("Table II: mapping overhead of MtR vs SABRE "
            "(additional CNOTs; SWAP = 3 CNOTs)");
+    JsonReport json("table2");
 
     const size_t maxMolecules = fullMode() ? 9 : 6;
     Device tree = makeDevice("xtree17");
@@ -136,5 +228,7 @@ main()
                 "need QCC_FULL=1. The molecule x compression\n"
                 "sweep also ships as examples/specs/table2_full.json "
                 "for qcc_sweep.\n");
+
+    importanceTable(json);
     return 0;
 }

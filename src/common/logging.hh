@@ -62,10 +62,9 @@ bool isVerbose();
 
 /**
  * Resolve the output path for one machine-readable result file under
- * the QCC_JSON convention shared by every producer (VQE_TRACE_*
- * per-point VQE traces, TRACE_EVENTS_* span timelines, BENCH_*
- * bench tables, RESULT_* experiment records, SWEEP_* aggregates,
- * METRICS_* counters):
+ * the QCC_JSON convention shared by every producer (TRACE_EVENTS_*
+ * span timelines, BENCH_* bench tables, RESULT_* experiment records,
+ * SWEEP_* aggregates, METRICS_* counters):
  * unset/"0"/empty disables (returns ""), "1" targets the current
  * directory, anything else is the output directory.
  */

@@ -22,10 +22,6 @@ struct Counters
     MetricCounter &rebinds = metricCounter("compile.cache.rebinds");
     MetricCounter &evictions =
         metricCounter("compile.cache.evictions");
-    MetricCounter &diskHits =
-        metricCounter("compile.cache.disk_hits");
-    MetricCounter &diskStores =
-        metricCounter("compile.cache.disk_stores");
 };
 
 Counters &
@@ -109,7 +105,6 @@ CircuitCache::lookup(const CacheKey &key,
             // Promote into the memory table (no write-back to disk:
             // the entry just came from there).
             insertMemo(key, found);
-            counters().diskHits.add();
         }
     }
 
@@ -141,10 +136,10 @@ CircuitCache::insert(const CacheKey &key, CachedCompile entry)
         std::lock_guard<std::mutex> lock(mtx);
         tier = disk;
     }
-    if (tier && tier->save(key, *sp)) {
-        // Write-through ran outside the lock; best effort.
-        counters().diskStores.add();
-    }
+    // Write-through outside the lock; best effort (the store counts
+    // its own writes as store.circuit.disk_writes).
+    if (tier)
+        tier->save(key, *sp);
 }
 
 void
@@ -165,8 +160,6 @@ CircuitCache::stats() const
     s.misses = c.misses.value();
     s.rebinds = c.rebinds.value();
     s.evictions = c.evictions.value();
-    s.diskHits = c.diskHits.value();
-    s.diskStores = c.diskStores.value();
     std::lock_guard<std::mutex> lock(mtx);
     s.entries = entries;
     return s;

@@ -92,6 +92,8 @@ struct CachedCompile
  * `entries` read the process-wide `compile.cache.*` registry
  * counters (obs/metrics), so they include the counts a sweepd
  * service merged in from its workers and reset with resetMetrics().
+ * The persistent tier counts its own hits and writes
+ * (`store.circuit.*`, read by storeStats() in src/store).
  */
 struct CacheStats
 {
@@ -100,8 +102,6 @@ struct CacheStats
     size_t rebinds = 0;  ///< hits that rewrote at least one angle
     size_t entries = 0;  ///< resident entries of this table
     size_t evictions = 0;
-    size_t diskHits = 0;   ///< hits served by the persistent tier
-    size_t diskStores = 0; ///< fresh compiles written through to disk
 };
 
 /**

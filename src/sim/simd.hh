@@ -16,6 +16,10 @@
  *     is how the equivalence tests and bench_sim_micro exercise both
  *     paths inside one process.
  *
+ * The Algorithm-1 importance kernel (ansatz/importance.cc) selects
+ * its AVX2 body through simdActive() too, so one switch covers every
+ * vector path.
+ *
  * The range primitives are also the building blocks of the fused,
  * cache-blocked executor (sim/fusion.hh): they take explicit index
  * ranges and a global-offset parameter where bit-parity signs depend

@@ -236,21 +236,4 @@ VqeDriver::run()
     return res;
 }
 
-std::string
-VqeDriver::writeTrace(const std::string &name) const
-{
-    const std::string path = qccJsonPath("VQE_TRACE_" + name + ".json");
-    if (path.empty())
-        return {};
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("VqeDriver::writeTrace: cannot write " + path);
-        return {};
-    }
-    const std::string doc = traceData.json();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return path;
-}
-
 } // namespace qcc

@@ -20,11 +20,11 @@
  * gradients, plain gradient descent, SPSA, Nelder-Mead) are
  * registry-backed strategy objects (vqe/optimizers.hh). Every run
  * records a machine-readable trace — per-point energy, estimator
- * variance, cumulative shots, gradient norm — that writeTrace()
- * serializes as VQE_TRACE_<name>.json under the QCC_JSON
- * convention, so convergence and measurement-cost trajectories can
- * be captured without scraping stdout. All stochastic behavior
- * derives from one seed (default: the QCC_SEED-backed global seed).
+ * variance, cumulative shots, gradient norm — that trace() returns
+ * and qcc::Experiment embeds in its RESULT_<name>.json record, so
+ * convergence and measurement-cost trajectories can be captured
+ * without scraping stdout. All stochastic behavior derives from one
+ * seed (default: the QCC_SEED-backed global seed).
  *
  * Construction is strategy-injection only (the legacy EvalMode-enum
  * shim is gone): spec-level code goes through qcc::Experiment
@@ -180,13 +180,6 @@ class VqeDriver
     {
         return shiftEngine.numShiftedEvaluations();
     }
-
-    /**
-     * Write the trace as VQE_TRACE_<name>.json under the QCC_JSON
-     * convention ("1" = current directory, otherwise a directory).
-     * Returns the path written, or empty when QCC_JSON is unset.
-     */
-    std::string writeTrace(const std::string &name) const;
 
   private:
     friend class GradientDescentVqeOptimizer;

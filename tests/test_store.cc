@@ -268,19 +268,21 @@ TEST(CircuitStore, CacheWriteThroughAndPromotion)
     XTree tree = makeXTree(7);
     CompilerPipeline pipeline(tree);
 
-    const CacheStats s0 = globalCircuitCache().stats();
+    const StoreStats s0 = storeStats();
     CompileResult fresh = pipeline.compile(ansatz, params);
-    const CacheStats s1 = globalCircuitCache().stats();
-    EXPECT_EQ(s1.diskStores, s0.diskStores + 1); // write-through
+    const StoreStats s1 = storeStats();
+    // Write-through.
+    EXPECT_EQ(s1.circuitDiskWrites, s0.circuitDiskWrites + 1);
 
     // A new process is simulated by dropping the memory table; the
     // recompile must be served by the persistent tier and match the
     // fresh compile gate for gate.
     globalCircuitCache().clear();
     CompileResult warm = pipeline.compile(ansatz, params);
-    const CacheStats s2 = globalCircuitCache().stats();
-    EXPECT_EQ(s2.diskHits, s1.diskHits + 1);
-    EXPECT_EQ(s2.diskStores, s1.diskStores); // promotion, no rewrite
+    const StoreStats s2 = storeStats();
+    EXPECT_EQ(s2.circuitDiskHits, s1.circuitDiskHits + 1);
+    // Promotion, no rewrite.
+    EXPECT_EQ(s2.circuitDiskWrites, s1.circuitDiskWrites);
 
     ASSERT_EQ(fresh.circuit.size(), warm.circuit.size());
     for (size_t i = 0; i < fresh.circuit.size(); ++i) {

@@ -16,16 +16,25 @@
  *    `fused_vs_kernel` at n >= 14 is the headline speedup. Pass
  *    --benchmark_filter=nope to skip the google-benchmark section and
  *    emit only the variant report.
+ *
+ *  - the VQE hot path on real ansätze: `uccsd_apply` replays every
+ *    rotation of a molecule's full UCCSD ansatz from the HF state and
+ *    `hpsi` applies its Hamiltonian term by term (accumulatePauli),
+ *    each timed on the scalar and AVX2 paths (BeH2 and H2O; NH3 too
+ *    under QCC_FULL). The two paths' states and H·psi vectors must
+ *    agree to 1e-12, or the program exits with status 1.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <vector>
 
+#include "ansatz/uccsd.hh"
 #include "bench_util.hh"
 #include "chem/molecules.hh"
 #include "common/logging.hh"
@@ -369,7 +378,100 @@ variantGroupRow(qccbench::JsonReport &rep, unsigned n)
              {"simd_vs_kernel", kernelMs / simdMs}});
 }
 
-void
+/** Largest |a[i] - b[i]|. */
+double
+maxAbsDiff(const std::vector<cplx> &a, const std::vector<cplx> &b)
+{
+    double m = 0.0;
+    for (size_t i = 0; i < a.size(); ++i)
+        m = std::max(m, std::abs(a[i] - b[i]));
+    return m;
+}
+
+/** Vector path vs scalar path agree to this on the UCCSD rows. */
+constexpr double kPathTolerance = 1e-12;
+
+/**
+ * uccsd_apply and hpsi rows for one catalog molecule at its
+ * equilibrium bond. Returns false when the AVX2 and scalar results
+ * differ by more than kPathTolerance.
+ */
+bool
+variantUccsdRows(qccbench::JsonReport &rep, const std::string &name)
+{
+    const BenchmarkMolecule &entry = benchmarkMolecule(name);
+    const MolecularProblem prob =
+        buildMolecularProblem(entry, entry.equilibriumBond);
+    const Ansatz ansatz = buildUccsd(prob.nSpatial, prob.nElectrons);
+    const unsigned n = ansatz.nQubits;
+    std::vector<double> angles;
+    for (const PauliRotation &r : ansatz.rotations)
+        angles.push_back(r.coeff * 0.05 * double(r.param % 7 + 1));
+
+    Statevector sv(n, ansatz.hfMask);
+    auto apply = [&] {
+        sv.reset(ansatz.hfMask);
+        for (size_t j = 0; j < angles.size(); ++j)
+            sv.applyPauliRotation(angles[j],
+                                  ansatz.rotations[j].string);
+    };
+    std::vector<cplx> hpsi(sv.dim());
+    auto applyH = [&] {
+        std::fill(hpsi.begin(), hpsi.end(), cplx(0.0));
+        for (const PauliTerm &t : prob.hamiltonian.terms())
+            sv.accumulatePauli(t.coeff, t.string, hpsi);
+    };
+
+    kern::setSimdEnabled(false);
+    const double applyScalarMs = timeMs(apply);
+    apply();
+    const std::vector<cplx> stateScalar = sv.amplitudes();
+    const double hpsiScalarMs = timeMs(applyH);
+    applyH();
+    const std::vector<cplx> hpsiScalar = hpsi;
+
+    kern::setSimdEnabled(true);
+    const double applySimdMs = timeMs(apply);
+    apply();
+    const double stateDiff = maxAbsDiff(sv.amplitudes(), stateScalar);
+    const double hpsiSimdMs = timeMs(applyH);
+    applyH();
+    const double hpsiDiff = maxAbsDiff(hpsi, hpsiScalar);
+
+    const size_t terms = prob.hamiltonian.numTerms();
+    std::printf("  uccsd_apply %-4s n=%-2u R=%-4zu: scalar %.3f  simd "
+                "%.3f ms  [%.2fx]  max|dpsi| %.1e\n",
+                name.c_str(), n, angles.size(), applyScalarMs,
+                applySimdMs, applyScalarMs / applySimdMs, stateDiff);
+    std::printf("  hpsi        %-4s n=%-2u T=%-4zu: scalar %.3f  simd "
+                "%.3f ms  [%.2fx]  max|dHpsi| %.1e\n",
+                name.c_str(), n, terms, hpsiScalarMs, hpsiSimdMs,
+                hpsiScalarMs / hpsiSimdMs, hpsiDiff);
+    rep.row("uccsd_apply_" + name,
+            {{"qubits", double(n)},
+             {"rotations", double(angles.size())},
+             {"scalar_ms", applyScalarMs},
+             {"simd_ms", applySimdMs},
+             {"simd_vs_scalar", applyScalarMs / applySimdMs},
+             {"max_abs_diff", stateDiff}});
+    rep.row("hpsi_" + name,
+            {{"qubits", double(n)},
+             {"terms", double(terms)},
+             {"scalar_ms", hpsiScalarMs},
+             {"simd_ms", hpsiSimdMs},
+             {"simd_vs_scalar", hpsiScalarMs / hpsiSimdMs},
+             {"max_abs_diff", hpsiDiff}});
+    const bool ok =
+        stateDiff <= kPathTolerance && hpsiDiff <= kPathTolerance;
+    if (!ok)
+        std::printf("  FAIL %s: AVX2 and scalar paths differ by more "
+                    "than %.0e\n",
+                    name.c_str(), kPathTolerance);
+    return ok;
+}
+
+/** Returns false when a UCCSD row's two paths disagree. */
+bool
 variantReport()
 {
     const bool simdWasActive = kern::simdActive();
@@ -393,8 +495,17 @@ variantReport()
         variantExpectationRow(rep, n);
     variantGroupRow(rep, sizes.back());
 
+    setVerbose(false);
+    std::vector<std::string> molecules = {"BeH2", "H2O"};
+    if (qccbench::fullMode())
+        molecules.push_back("NH3");
+    bool ok = true;
+    for (const std::string &m : molecules)
+        ok = variantUccsdRows(rep, m) && ok;
+
     kern::setSimdEnabled(simdWasActive);
     qccbench::rule();
+    return ok;
 }
 
 } // namespace
@@ -415,6 +526,5 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    variantReport();
-    return 0;
+    return variantReport() ? 0 : 1;
 }

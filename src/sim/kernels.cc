@@ -38,6 +38,17 @@ paritySign(uint64_t m, uint64_t b)
     return (std::popcount(m & b) & 1) ? -1.0 : 1.0;
 }
 
+/**
+ * Grain of a sweep over ranges::pairBlocks(dim, x) block indices. A
+ * block index covers two amplitude pairs (one when x == 1), so a chunk
+ * holds kParallelGrain pairs, like the chunks of the other pair sweeps.
+ */
+inline size_t
+pairBlockGrain(uint64_t x)
+{
+    return (x & ~uint64_t{1}) ? kParallelGrain / 2 : kParallelGrain;
+}
+
 } // namespace
 
 void
@@ -103,22 +114,20 @@ applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
         return;
     }
 
-    // Pair kernel. With u = i sin(t) i^{|x&z|} and the partner-sign
-    // relation (-1)^{|z & (b^x)|} = sigma * (-1)^{|z & b|} where
-    // sigma = (-1)^{|z & x|}, each pair costs one popcount:
-    //   amp[b]   = c a   + u sigma s_b a2
-    //   amp[b^x] = c a2  + u       s_b a
-    // The update is written in real arithmetic so both the scalar and
-    // AVX2 bodies reduce to plain FMAs.
-    const cplx u = is * iPow(std::popcount(x & z));
-    const double sigma = paritySign(z, x);
-    const double ur = u.real(), ui = u.imag();
-    const double vr = sigma * ur, vi = sigma * ui;
-    const uint64_t pivot = x & (~x + 1); // lowest set bit of x
-    parallelFor(0, dim / 2, [=](size_t lo, size_t hi) {
-        ranges::pauliRotPairs(amp, lo, hi, x, z, pivot, c, ur, ui,
-                              vr, vi);
-    });
+    // Pair kernel over aligned blocks (ranges::pairBlocks). With
+    // sigma = (-1)^{|z & x|}, the partner's sign is
+    // (-1)^{|z & (b^x)|} = sigma * (-1)^{|z & b|}, so every index
+    // follows one rule,
+    //   new[b] = c a[b] + v s_b a[b^x],  v = sigma i sin(t) i^{|x&z|},
+    // and each block of two amplitudes costs one popcount.
+    const cplx v = paritySign(z, x) * (is * iPow(std::popcount(x & z)));
+    parallelFor(
+        0, ranges::pairBlocks(dim, x),
+        [=](size_t lo, size_t hi) {
+            ranges::pauliRotPairs(amp, lo, hi, x, z, c, v.real(),
+                                  v.imag());
+        },
+        pairBlockGrain(x));
 }
 
 void
@@ -153,13 +162,17 @@ accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
                 cplx w, cplx *out)
 {
     // phase(b^x) = eps * sigma * (-1)^{|z & b|}; fold everything
-    // constant into the weight.
+    // constant into the weight. Chunks own whole aligned blocks
+    // (b, b+1), so every chunk edge is even.
     const cplx weps =
         w * iPow(std::popcount(x & z)) * paritySign(z, x);
-    parallelFor(0, dim, [=](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b)
-            out[b] += (weps * paritySign(z, b)) * amp[b ^ x];
-    });
+    parallelFor(
+        0, (dim + 1) / 2,
+        [=](size_t lo, size_t hi) {
+            ranges::accumulatePauli(amp, out, 2 * lo,
+                                    std::min(2 * hi, dim), x, z, weps);
+        },
+        kParallelGrain / 2);
 }
 
 double
@@ -171,7 +184,7 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
                 return ranges::expectDiag(amp, lo, hi, z);
             });
     }
-    // Pair-compacted sweep. The (b, b^x) contributions combine to
+    // Block-pair sweep. The (b, b^x) contributions combine to
     //   s_b (conj(a) a2 + sigma conj(a2) a)
     // which is twice the real part of conj(a) a2 when sigma = +1 and
     // twice i times its imaginary part when sigma = -1 (sigma and
@@ -179,12 +192,12 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     // single real dot product.
     const int e = std::popcount(x & z) & 3;
     const bool sigmaPos = (std::popcount(z & x) & 1) == 0;
-    const uint64_t pivot = x & (~x + 1);
     const double t = parallelReduce(
-        0, dim / 2, 0.0, [=](size_t lo, size_t hi) {
-            return ranges::expectPairs(amp, lo, hi, x, z, pivot,
-                                       sigmaPos);
-        });
+        0, ranges::pairBlocks(dim, x), 0.0,
+        [=](size_t lo, size_t hi) {
+            return ranges::expectPairs(amp, lo, hi, x, z, sigmaPos);
+        },
+        pairBlockGrain(x));
     if (sigmaPos)
         return 2.0 * iPow(e).real() * t;
     // contribution = eps * (-2i) * t with eps = i^e.
@@ -293,6 +306,14 @@ expectationGeneric(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
     for (size_t b = 0; b < dim; ++b)
         s += std::conj(amp[b]) * pauliPhase(x, z, b ^ x) * amp[b ^ x];
     return s.real();
+}
+
+void
+accumulatePauliGeneric(const cplx *amp, size_t dim, uint64_t x,
+                       uint64_t z, cplx w, cplx *out)
+{
+    for (size_t b = 0; b < dim; ++b)
+        out[b] += w * pauliPhase(x, z, b ^ x) * amp[b ^ x];
 }
 
 cplx

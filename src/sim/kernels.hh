@@ -12,7 +12,9 @@
  * 2^n indices with a skip branch; diagonal and permutation gates get
  * dedicated single-pass kernels; the Pauli-rotation kernel folds the
  * i^{|x&z|} prefactor and the (-1)^{|z&x|} partner-sign relation into
- * constants so each amplitude pair costs one popcount. All sweeps are
+ * constants so each aligned block of two amplitudes costs one
+ * popcount, and the Pauli pair kernels (rotation, expectation,
+ * overlap, H·psi) share one block-pair form for every x. All sweeps are
  * block-parallel via parallelFor/parallelReduce, and each chunk runs
  * through the runtime-dispatched scalar/AVX2 range primitives of
  * sim/simd.hh (QCC_SIMD selects the path; see that header).
@@ -63,8 +65,8 @@ void applySwap(cplx *amp, size_t dim, unsigned a, unsigned b);
 
 /**
  * exp(i theta P) for the canonical Pauli P = i^{|x&z|} X^x Z^z given
- * by raw index-bit masks. Stride-based pair kernel; a pure phase pass
- * when x == 0.
+ * by raw index-bit masks. Block-pair kernel (see ranges::pairBlocks);
+ * a pure phase pass when x == 0.
  */
 void applyPauliRotation(cplx *amp, size_t dim, uint64_t x, uint64_t z,
                         double theta);
@@ -122,6 +124,8 @@ double expectationGeneric(const cplx *amp, size_t dim, uint64_t x,
                           uint64_t z);
 cplx pauliOverlapGeneric(const cplx *lam, const cplx *chi, size_t dim,
                          uint64_t x, uint64_t z);
+void accumulatePauliGeneric(const cplx *amp, size_t dim, uint64_t x,
+                            uint64_t z, cplx w, cplx *out);
 /** @} */
 
 } // namespace kern

@@ -1,5 +1,6 @@
 #include "sim/lanczos.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -69,13 +70,14 @@ lanczosGroundEnergy(const PauliSum &h, const LanczosOptions &opts)
     v.normalize();
 
     std::vector<cplx> vPrev(dim, cplx(0, 0));
+    std::vector<cplx> w(dim);
     std::vector<double> alpha, beta;
     double prevRitz = 1e300;
     double betaPrev = 0.0;
 
     for (int k = 0; k < opts.maxIter; ++k) {
         // w = H v
-        std::vector<cplx> w(dim, cplx(0, 0));
+        std::fill(w.begin(), w.end(), cplx(0, 0));
         for (const auto &t : h.terms())
             v.accumulatePauli(t.coeff, t.string, w);
 

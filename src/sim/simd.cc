@@ -10,9 +10,20 @@
  *  - cmulBcast multiplies two packed complexes by per-lane-pair
  *    broadcast factors with one fmaddsub (even lanes subtract, odd
  *    lanes add — exactly the complex product split into real parts).
- *  - Parity-sign kernels process even-aligned index pairs: the sign
- *    of b+1 is the sign of b times (-1)^{z&1}, so one popcount per
- *    pair of amplitudes (or per 4, in the grouped sweep) suffices.
+ *  - Parity signs are taken per aligned block (b, b+1): the sign of
+ *    b+1 is the sign of b times (-1)^{z&1}, so one popcount per block
+ *    (or per 4 amplitudes, in the grouped sweep) suffices.
+ *  - Every kernel that pairs b with b ^ x (pauliRotPairs, expectPairs,
+ *    pauliOverlap, accumulatePauli) uses one block-pair form for all
+ *    x: a register holds the aligned block (b0, b0+1), its partner
+ *    block is at (b0 ^ x) & ~1 = b0 ^ (x & ~1), and when x has bit 0
+ *    set the partner's two complexes are swapped in-register
+ *    (_mm256_permute2f128_pd). The rotation and expectation visit
+ *    only the blocks with bit h clear (h = lowest set bit of x & ~1),
+ *    b0 = 2 * expandBit(m, h >> 1), so one iteration covers two pairs
+ *    with two loads (and two stores); for x == 1 the partner block is
+ *    the block itself, swapped. The partner block's signs are the
+ *    block's times (-1)^{|z & (x & ~1)|}.
  *  - diagonalGroupExpectation uses _mm256_hadd_pd, which interleaves
  *    lanes as (b, b+2, b+1, b+3); the per-term low-bit sign patterns
  *    are stored in that order so the FMA accumulation lines up.
@@ -58,7 +69,11 @@ paritySign(uint64_t m, uint64_t b)
     return (std::popcount(m & b) & 1) ? -1.0 : 1.0;
 }
 
-/** One Pauli-rotation pair update (shared by scalar loop and tails). */
+/**
+ * One Pauli-rotation pair update: v = (vr, vi) acts on amp[b] and
+ * u = sigma v on amp[b2], both with the sign s_b of b. The update is
+ * symmetric, so either member of the pair may come first.
+ */
 inline void
 rotPairOne(cplx *amp, size_t b, size_t b2, uint64_t z, double c,
            double ur, double ui, double vr, double vi)
@@ -74,7 +89,8 @@ rotPairOne(cplx *amp, size_t b, size_t b2, uint64_t z, double c,
                    c * bi + wr * ai + wi * ar);
 }
 
-/** One expectation pair contribution (partial sum, unscaled). */
+/** One expectation pair contribution (partial sum, unscaled); the
+ *  same value whichever member of the pair is b. */
 inline double
 expectPairOne(const cplx *amp, size_t b, size_t b2, uint64_t z,
               bool sigma_pos)
@@ -108,6 +124,30 @@ groupExpectOne(const cplx *amp, size_t b, uint64_t g, const double *w,
     for (size_t t = 0; t < n_terms; ++t)
         s += w[t] * paritySign(zmask[t], g) * p;
     return s;
+}
+
+/** Block-index pivot of a pair sweep over x: half the lowest set bit
+ *  of x & ~1, or 0 when x == 1 (expandBit(m, 0) == m). */
+inline uint64_t
+blockPivot(uint64_t x)
+{
+    const uint64_t xe = x & ~uint64_t{1};
+    return (xe & (~xe + 1)) >> 1;
+}
+
+/** First index of block m of a pair sweep with block pivot hp. */
+inline size_t
+blockBase(size_t m, uint64_t hp)
+{
+    return 2 * expandBit(m, hp);
+}
+
+/** One H·psi term at one index (shared by scalar loop and tails). */
+inline void
+accumulateOne(const cplx *amp, cplx *out, size_t b, uint64_t x,
+              uint64_t z, cplx w)
+{
+    out[b] += (w * paritySign(z, b)) * amp[b ^ x];
 }
 
 } // namespace
@@ -189,13 +229,18 @@ diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
 }
 
 void
-pauliRotPairsScalar(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
-                    uint64_t z, uint64_t pivot, double c, double ur,
-                    double ui, double vr, double vi)
+pauliRotPairsScalar(cplx *amp, size_t m_lo, size_t m_hi, uint64_t x,
+                    uint64_t z, double c, double vr, double vi)
 {
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t b = expandBit(k, pivot);
-        rotPairOne(amp, b, b ^ x, z, c, ur, ui, vr, vi);
+    const uint64_t hp = blockPivot(x);
+    const double sigma = paritySign(z, x);
+    const double ur = sigma * vr, ui = sigma * vi;
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        rotPairOne(amp, b0, b0 ^ x, z, c, ur, ui, vr, vi);
+        if (x != 1)
+            rotPairOne(amp, b0 + 1, (b0 + 1) ^ x, z, c, ur, ui, vr,
+                       vi);
     }
 }
 
@@ -208,14 +253,16 @@ pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 }
 
 double
-expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
-                  uint64_t x, uint64_t z, uint64_t pivot,
-                  bool sigma_pos)
+expectPairsScalar(const cplx *amp, size_t m_lo, size_t m_hi,
+                  uint64_t x, uint64_t z, bool sigma_pos)
 {
+    const uint64_t hp = blockPivot(x);
     double s = 0.0;
-    for (size_t k = k_lo; k < k_hi; ++k) {
-        const size_t b = expandBit(k, pivot);
-        s += expectPairOne(amp, b, b ^ x, z, sigma_pos);
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        s += expectPairOne(amp, b0, b0 ^ x, z, sigma_pos);
+        if (x != 1)
+            s += expectPairOne(amp, b0 + 1, (b0 + 1) ^ x, z, sigma_pos);
     }
     return s;
 }
@@ -228,6 +275,14 @@ pauliOverlapScalar(const cplx *lam, const cplx *chi, size_t b_lo,
     for (size_t b = b_lo; b < b_hi; ++b)
         overlapOne(lam, chi, b, x, z, re, im);
     return {re, im};
+}
+
+void
+accumulatePauliScalar(const cplx *amp, cplx *out, size_t b_lo,
+                      size_t b_hi, uint64_t x, uint64_t z, cplx w)
+{
+    for (size_t b = b_lo; b < b_hi; ++b)
+        accumulateOne(amp, out, b, x, z, w);
 }
 
 double
@@ -346,6 +401,15 @@ cmulVar(__m256d a, __m256d b)
     const __m256d br = _mm256_movedup_pd(b);
     const __m256d bi = _mm256_permute_pd(b, 0xF);
     return cmulBcast(a, br, bi);
+}
+
+/** (-1)^{|m & b|} as a sign-bit mask: xor-ing it in is an exact
+ *  multiply by that sign. */
+QCC_AVX2 inline __m256d
+signMask(uint64_t m, uint64_t b)
+{
+    const uint64_t odd = uint64_t(std::popcount(m & b) & 1);
+    return _mm256_castsi256_pd(_mm256_set1_epi64x(int64_t(odd << 63)));
 }
 
 QCC_AVX2 inline double
@@ -512,60 +576,54 @@ diagMulAvx2(cplx *ampc, size_t b_lo, size_t b_hi,
 }
 
 QCC_AVX2 void
-pauliRotPairsAvx2(cplx *ampc, size_t k_lo, size_t k_hi, uint64_t x,
-                  uint64_t z, uint64_t pivot, double c, double ur,
-                  double ui, double vr, double vi)
+pauliRotPairsAvx2(cplx *ampc, size_t m_lo, size_t m_hi, uint64_t x,
+                  uint64_t z, double c, double vr, double vi)
 {
-    if (pivot < 2) {
-        // x touches bit 0: pairs are interleaved, not worth shuffling.
-        pauliRotPairsScalar(ampc, k_lo, k_hi, x, z, pivot, c, ur, ui,
-                            vr, vi);
-        return;
-    }
     double *amp = reinterpret_cast<double *>(ampc);
     const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
     const __m256d cv = _mm256_set1_pd(c);
-    const __m256d urv = _mm256_set1_pd(ur);
-    const __m256d uiv = _mm256_set1_pd(ui);
-    const __m256d vrv = _mm256_set1_pd(vr);
-    const __m256d viv = _mm256_set1_pd(vi);
-    size_t k = k_lo;
-    while (k < k_hi) {
-        const size_t runStart = k & ~size_t(pivot - 1);
-        const size_t runEnd =
-            std::min<size_t>(k_hi, runStart + pivot);
-        const size_t b0 = expandBit(runStart, pivot); // even
-        const size_t len = runEnd - runStart;
-        size_t j = k - runStart;
-        if ((j & 1) && j < len) {
-            rotPairOne(ampc, b0 + j, (b0 + j) ^ x, z, c, ur, ui, vr,
-                       vi);
-            ++j;
-        }
-        for (; j + 2 <= len; j += 2) {
-            const size_t b = b0 + j;
-            const size_t b2 = b ^ x; // x bit0 clear: b2+1 = (b+1)^x
-            const double s0 = paritySign(z, b);
-            const __m256d sv =
-                _mm256_mul_pd(_mm256_set1_pd(s0), evec);
-            const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-            const __m256d a2 = _mm256_loadu_pd(amp + 2 * b2);
-            const __m256d xr = _mm256_mul_pd(sv, vrv);
-            const __m256d xi = _mm256_mul_pd(sv, viv);
-            const __m256d wr = _mm256_mul_pd(sv, urv);
-            const __m256d wi = _mm256_mul_pd(sv, uiv);
+    // v (1, (-1)^{z&1}) per lane pair; the block's sign s_b0 is xor-ed
+    // onto the product.
+    const __m256d evr = _mm256_setr_pd(vr, vr, e0 * vr, e0 * vr);
+    const __m256d evi = _mm256_setr_pd(vi, vi, e0 * vi, e0 * vi);
+    const uint64_t xe = x & ~uint64_t{1};
+    if (xe == 0) {
+        // x == 1: the partner block is the block itself, swapped.
+        for (size_t m = m_lo; m < m_hi; ++m) {
+            double *p = amp + 4 * m;
+            const __m256d a = _mm256_loadu_pd(p);
+            const __m256d as = _mm256_permute2f128_pd(a, a, 0x01);
             _mm256_storeu_pd(
-                amp + 2 * b,
-                _mm256_fmadd_pd(a, cv, cmulBcast(a2, xr, xi)));
-            _mm256_storeu_pd(
-                amp + 2 * b2,
-                _mm256_fmadd_pd(a2, cv, cmulBcast(a, wr, wi)));
+                p, _mm256_fmadd_pd(a, cv,
+                                   _mm256_xor_pd(cmulBcast(as, evr, evi),
+                                                 signMask(z, 2 * m))));
         }
-        for (; j < len; ++j)
-            rotPairOne(ampc, b0 + j, (b0 + j) ^ x, z, c, ur, ui, vr,
-                       vi);
-        k = runEnd;
+        return;
+    }
+    // The partner block's signs are the block's times
+    // (-1)^{|z & (x & ~1)|}.
+    const double sigmaE = paritySign(z, xe);
+    const __m256d pvr = _mm256_mul_pd(_mm256_set1_pd(sigmaE), evr);
+    const __m256d pvi = _mm256_mul_pd(_mm256_set1_pd(sigmaE), evi);
+    const uint64_t hp = blockPivot(x);
+    const bool swapLanes = (x & 1) != 0;
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        double *pa = amp + 2 * b0;
+        double *pp = amp + 2 * (b0 ^ xe);
+        const __m256d s0 = signMask(z, b0);
+        const __m256d a = _mm256_loadu_pd(pa);
+        const __m256d p = _mm256_loadu_pd(pp);
+        const __m256d as =
+            swapLanes ? _mm256_permute2f128_pd(a, a, 0x01) : a;
+        const __m256d ps =
+            swapLanes ? _mm256_permute2f128_pd(p, p, 0x01) : p;
+        _mm256_storeu_pd(
+            pa, _mm256_fmadd_pd(
+                    a, cv, _mm256_xor_pd(cmulBcast(ps, evr, evi), s0)));
+        _mm256_storeu_pd(
+            pp, _mm256_fmadd_pd(
+                    p, cv, _mm256_xor_pd(cmulBcast(as, pvr, pvi), s0)));
     }
 }
 
@@ -601,59 +659,40 @@ pauliRotDiagAvx2(cplx *ampc, size_t b_lo, size_t b_hi, uint64_t z,
 }
 
 QCC_AVX2 double
-expectPairsAvx2(const cplx *ampc, size_t k_lo, size_t k_hi,
-                uint64_t x, uint64_t z, uint64_t pivot,
-                bool sigma_pos)
+expectPairsAvx2(const cplx *ampc, size_t m_lo, size_t m_hi,
+                uint64_t x, uint64_t z, bool sigma_pos)
 {
-    if (pivot < 2)
-        return expectPairsScalar(ampc, k_lo, k_hi, x, z, pivot,
-                                 sigma_pos);
     const double *amp = reinterpret_cast<const double *>(ampc);
     const double e0 = (z & 1) ? -1.0 : 1.0;
     const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    const __m256d evenMask = _mm256_castsi256_pd(
-        _mm256_setr_epi64x(-1, 0, -1, 0));
+    const uint64_t hp = blockPivot(x);
+    const uint64_t xe = x & ~uint64_t{1};
+    const bool swapLanes = (x & 1) != 0;
+    // Keep the real slot of each complex lane; for x == 1 both lanes
+    // hold the one pair (b0, b0+1), so keep the first only.
+    const __m256d keep = _mm256_castsi256_pd(
+        xe ? _mm256_setr_epi64x(-1, 0, -1, 0)
+           : _mm256_setr_epi64x(-1, 0, 0, 0));
     __m256d acc = _mm256_setzero_pd();
-    double tail = 0.0;
-    size_t k = k_lo;
-    while (k < k_hi) {
-        const size_t runStart = k & ~size_t(pivot - 1);
-        const size_t runEnd =
-            std::min<size_t>(k_hi, runStart + pivot);
-        const size_t b0 = expandBit(runStart, pivot);
-        const size_t len = runEnd - runStart;
-        size_t j = k - runStart;
-        if ((j & 1) && j < len) {
-            tail += expectPairOne(ampc, b0 + j, (b0 + j) ^ x, z,
-                                  sigma_pos);
-            ++j;
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        const __m256d a = _mm256_loadu_pd(amp + 2 * b0);
+        __m256d p = _mm256_loadu_pd(amp + 2 * (b0 ^ xe));
+        if (swapLanes)
+            p = _mm256_permute2f128_pd(p, p, 0x01);
+        __m256d t;
+        if (sigma_pos) {
+            const __m256d q = _mm256_mul_pd(a, p);
+            t = _mm256_add_pd(q, _mm256_shuffle_pd(q, q, 0x5));
+        } else {
+            const __m256d as = _mm256_shuffle_pd(a, a, 0x5);
+            const __m256d q = _mm256_mul_pd(as, p);
+            t = _mm256_sub_pd(_mm256_shuffle_pd(q, q, 0x5), q);
         }
-        for (; j + 2 <= len; j += 2) {
-            const size_t b = b0 + j;
-            const size_t b2 = b ^ x;
-            const double s0 = paritySign(z, b);
-            const __m256d sv =
-                _mm256_mul_pd(_mm256_set1_pd(s0), evec);
-            const __m256d a = _mm256_loadu_pd(amp + 2 * b);
-            const __m256d a2 = _mm256_loadu_pd(amp + 2 * b2);
-            __m256d t;
-            if (sigma_pos) {
-                const __m256d m = _mm256_mul_pd(a, a2);
-                t = _mm256_add_pd(m, _mm256_shuffle_pd(m, m, 0x5));
-            } else {
-                const __m256d as = _mm256_shuffle_pd(a, a, 0x5);
-                const __m256d m = _mm256_mul_pd(as, a2);
-                t = _mm256_sub_pd(_mm256_shuffle_pd(m, m, 0x5), m);
-            }
-            t = _mm256_and_pd(t, evenMask);
-            acc = _mm256_fmadd_pd(t, sv, acc);
-        }
-        for (; j < len; ++j)
-            tail += expectPairOne(ampc, b0 + j, (b0 + j) ^ x, z,
-                                  sigma_pos);
-        k = runEnd;
+        t = _mm256_xor_pd(_mm256_and_pd(t, keep), signMask(z, b0));
+        acc = _mm256_fmadd_pd(t, evec, acc);
     }
-    return hsum(acc) + tail;
+    return hsum(acc);
 }
 
 QCC_AVX2 cplx
@@ -695,6 +734,38 @@ pauliOverlapAvx2(const cplx *lamc, const cplx *chic, size_t b_lo,
     if (b < b_hi)
         overlapOne(lamc, chic, b, x, z, re, im);
     return {hsum(accRe) + re, hsum(accIm) + im};
+}
+
+QCC_AVX2 void
+accumulatePauliAvx2(const cplx *ampc, cplx *outc, size_t b_lo,
+                    size_t b_hi, uint64_t x, uint64_t z, cplx w)
+{
+    const double *amp = reinterpret_cast<const double *>(ampc);
+    double *out = reinterpret_cast<double *>(outc);
+    const uint64_t xe = x & ~uint64_t{1};
+    const bool swapLanes = (x & 1) != 0;
+    const double e0 = (z & 1) ? -1.0 : 1.0;
+    const __m256d ewr = _mm256_setr_pd(w.real(), w.real(),
+                                       e0 * w.real(), e0 * w.real());
+    const __m256d ewi = _mm256_setr_pd(w.imag(), w.imag(),
+                                       e0 * w.imag(), e0 * w.imag());
+    size_t b = b_lo;
+    if ((b & 1) && b < b_hi) {
+        accumulateOne(ampc, outc, b, x, z, w);
+        ++b;
+    }
+    for (; b + 2 <= b_hi; b += 2) {
+        __m256d p = _mm256_loadu_pd(amp + 2 * (b ^ xe));
+        if (swapLanes)
+            p = _mm256_permute2f128_pd(p, p, 0x01);
+        const __m256d o = _mm256_loadu_pd(out + 2 * b);
+        _mm256_storeu_pd(
+            out + 2 * b,
+            _mm256_add_pd(o, _mm256_xor_pd(cmulBcast(p, ewr, ewi),
+                                           signMask(z, b))));
+    }
+    if (b < b_hi)
+        accumulateOne(ampc, outc, b, x, z, w);
 }
 
 QCC_AVX2 double
@@ -924,19 +995,16 @@ diagMul(cplx *amp, size_t b_lo, size_t b_hi, const cplx *pattern,
 }
 
 void
-pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
-              uint64_t z, uint64_t pivot, double c, double ur,
-              double ui, double vr, double vi)
+pauliRotPairs(cplx *amp, size_t m_lo, size_t m_hi, uint64_t x,
+              uint64_t z, double c, double vr, double vi)
 {
 #ifdef QCC_SIMD_X86
     if (simdActive()) {
-        pauliRotPairsAvx2(amp, k_lo, k_hi, x, z, pivot, c, ur, ui,
-                          vr, vi);
+        pauliRotPairsAvx2(amp, m_lo, m_hi, x, z, c, vr, vi);
         return;
     }
 #endif
-    pauliRotPairsScalar(amp, k_lo, k_hi, x, z, pivot, c, ur, ui, vr,
-                        vi);
+    pauliRotPairsScalar(amp, m_lo, m_hi, x, z, c, vr, vi);
 }
 
 void
@@ -953,15 +1021,27 @@ pauliRotDiag(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 }
 
 double
-expectPairs(const cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
-            uint64_t z, uint64_t pivot, bool sigma_pos)
+expectPairs(const cplx *amp, size_t m_lo, size_t m_hi, uint64_t x,
+            uint64_t z, bool sigma_pos)
 {
 #ifdef QCC_SIMD_X86
     if (simdActive())
-        return expectPairsAvx2(amp, k_lo, k_hi, x, z, pivot,
-                               sigma_pos);
+        return expectPairsAvx2(amp, m_lo, m_hi, x, z, sigma_pos);
 #endif
-    return expectPairsScalar(amp, k_lo, k_hi, x, z, pivot, sigma_pos);
+    return expectPairsScalar(amp, m_lo, m_hi, x, z, sigma_pos);
+}
+
+void
+accumulatePauli(const cplx *amp, cplx *out, size_t b_lo, size_t b_hi,
+                uint64_t x, uint64_t z, cplx w)
+{
+#ifdef QCC_SIMD_X86
+    if (simdActive()) {
+        accumulatePauliAvx2(amp, out, b_lo, b_hi, x, z, w);
+        return;
+    }
+#endif
+    accumulatePauliScalar(amp, out, b_lo, b_hi, x, z, w);
 }
 
 cplx

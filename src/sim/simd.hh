@@ -28,7 +28,8 @@
  *
  * Index conventions match sim/kernels.hh: `b` ranges are raw basis
  * indices, `k` ranges are compacted pair indices expanded around a
- * pivot bit with expandBit.
+ * pivot bit with expandBit, and `m` ranges are the block indices of
+ * the Pauli pair sweeps (pairBlocks).
  */
 
 #ifndef QCC_SIM_SIMD_HH
@@ -93,17 +94,33 @@ void diagMulScalar(cplx *amp, size_t b_lo, size_t b_hi,
                    const cplx *pattern, uint64_t pat_mask, cplx scale);
 
 /**
- * Pauli-rotation pair update over compacted k in [k_lo, k_hi) with
- * pivot = lowest set bit of x and the folded constants of
- * kern::applyPauliRotation: amp[b] += (c-1)*amp[b] + s_b*(vr+i*vi)*
- * amp[b^x], etc., where s_b = (-1)^{|z&b|}.
+ * Number of block indices m of a pair sweep over x != 0 on a
+ * dim-amplitude state. Block m is the aligned pair (b0, b0 + 1); its
+ * partner block is at (b0 ^ x) & ~1, lane-swapped when x has bit 0
+ * set. When x == 1 the partner block is the block itself, so there
+ * are dim/2 blocks; otherwise m runs over the dim/4 blocks whose bit
+ * h is clear (h = lowest set bit of x & ~1), and each block-pair
+ * iteration covers two amplitude pairs exactly once.
  */
-void pauliRotPairs(cplx *amp, size_t k_lo, size_t k_hi, uint64_t x,
-                   uint64_t z, uint64_t pivot, double c, double ur,
-                   double ui, double vr, double vi);
-void pauliRotPairsScalar(cplx *amp, size_t k_lo, size_t k_hi,
-                         uint64_t x, uint64_t z, uint64_t pivot,
-                         double c, double ur, double ui, double vr,
+inline size_t
+pairBlocks(size_t dim, uint64_t x)
+{
+    return (x & ~uint64_t{1}) ? dim / 4 : dim / 2;
+}
+
+/**
+ * Pauli-rotation pair update over block indices [m_lo, m_hi) (see
+ * pairBlocks). Every index b of the visited blocks and their
+ * partners follows one rule,
+ *   new[b] = c * a[b] + (vr + i vi) * s_b * a[b ^ x],
+ * with s_b = (-1)^{|z&b|} and v = sigma i sin(theta) i^{|x&z|}
+ * folded by kern::applyPauliRotation (sigma = (-1)^{|z&x|} is what
+ * makes the rule hold for both members of a pair).
+ */
+void pauliRotPairs(cplx *amp, size_t m_lo, size_t m_hi, uint64_t x,
+                   uint64_t z, double c, double vr, double vi);
+void pauliRotPairsScalar(cplx *amp, size_t m_lo, size_t m_hi,
+                         uint64_t x, uint64_t z, double c, double vr,
                          double vi);
 
 /** Diagonal rotation (x == 0): amp[b] *= f_even or f_odd by the
@@ -113,13 +130,31 @@ void pauliRotDiag(cplx *amp, size_t b_lo, size_t b_hi, uint64_t z,
 void pauliRotDiagScalar(cplx *amp, size_t b_lo, size_t b_hi,
                         uint64_t z, cplx f_even, cplx f_odd);
 
-/** Pair-compacted expectation partial sum (see kern::expectation). */
-double expectPairs(const cplx *amp, size_t k_lo, size_t k_hi,
-                   uint64_t x, uint64_t z, uint64_t pivot,
-                   bool sigma_pos);
-double expectPairsScalar(const cplx *amp, size_t k_lo, size_t k_hi,
-                         uint64_t x, uint64_t z, uint64_t pivot,
-                         bool sigma_pos);
+/**
+ * Expectation partial sum over block indices [m_lo, m_hi) (see
+ * pairBlocks), one term per amplitude pair (b, b ^ x):
+ * s_b Re(conj(a[b]) a[b^x]) when sigma_pos, s_b Im(conj(a[b])
+ * a[b^x]) otherwise. Both are symmetric in the pair, so it does not
+ * matter which member a block holds; kern::expectation applies the
+ * constant that turns the sum into <P>.
+ */
+double expectPairs(const cplx *amp, size_t m_lo, size_t m_hi,
+                   uint64_t x, uint64_t z, bool sigma_pos);
+double expectPairsScalar(const cplx *amp, size_t m_lo, size_t m_hi,
+                         uint64_t x, uint64_t z, bool sigma_pos);
+
+/**
+ * H·psi term over basis indices [b_lo, b_hi), read-only in amp:
+ * out[b] += w * (-1)^{|z&b|} * amp[b ^ x], with w already carrying
+ * i^{|x&z|} (-1)^{|z&x|} (see kern::accumulatePauli). One form for
+ * every x, as in pauliOverlap: an aligned (b, b+1) pair reads the
+ * aligned partner pair at b ^ (x & ~1), lane-swapped when x has
+ * bit 0 set. out must not alias amp.
+ */
+void accumulatePauli(const cplx *amp, cplx *out, size_t b_lo,
+                     size_t b_hi, uint64_t x, uint64_t z, cplx w);
+void accumulatePauliScalar(const cplx *amp, cplx *out, size_t b_lo,
+                           size_t b_hi, uint64_t x, uint64_t z, cplx w);
 
 /**
  * Pauli-overlap partial sum over basis indices [b_lo, b_hi):

@@ -6,10 +6,12 @@
  * agreement and the expectation width-check regression.
  */
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -223,32 +225,103 @@ TEST(Kernels, RandomCircuitMatchesDenseApply)
     }
 }
 
+namespace {
+
+/** Chunk edges over [0, blocks), odd and single-block chunks
+ *  included (blocks >= 32). */
+std::vector<size_t>
+splitEdges(size_t blocks)
+{
+    std::vector<size_t> edges = {0,          1,          2,
+                                 7,          8,          9,
+                                 blocks / 3, blocks / 2 + 1,
+                                 blocks - 1, blocks};
+    std::sort(edges.begin(), edges.end());
+    return edges;
+}
+
+} // namespace
+
 TEST(Kernels, ParallelSweepMatchesSerial)
 {
-    // Force chunked execution by shrinking the grain far below the
-    // state size; results must be bit-compatible with the serial
-    // sweep up to floating-point associativity of the chunk combine.
+    // At n = 12 the kernel entry points run inline (the pair sweeps
+    // stay under 2 * kParallelGrain), so drive the range bodies
+    // directly: a split of the block range at arbitrary (odd
+    // included) boundaries must write exactly the bits of one
+    // whole-range call, on both dispatch paths. The expectation
+    // partials regroup the sum, so they agree to rounding only.
     const unsigned n = 12;
-    auto amp = randomAmplitudes(n, 77);
-    auto ref = amp;
+    const size_t dim = size_t{1} << n;
+    const auto base = randomAmplitudes(n, 77);
     Rng rng(19);
-    PauliString p = randomString(n, rng, false);
+    const double c = std::cos(0.37);
+    const cplx v(0.3, -std::sin(0.37));
+    const cplx w(0.7, -0.2);
+    for (bool simd : {false, true}) {
+        SimdGuard g(simd);
+        for (uint64_t x : {uint64_t{1}, uint64_t{0x3}, uint64_t{0x4a},
+                           uint64_t{0x801}, uint64_t{0xf0f}}) {
+            const uint64_t z = rng.index(dim);
+            const size_t blocks = kern::ranges::pairBlocks(dim, x);
+            const std::vector<size_t> edges = splitEdges(blocks);
+            const std::string what =
+                std::string(simd ? "simd" : "scalar") +
+                " x=" + std::to_string(x);
 
+            auto whole = base, split = base;
+            kern::ranges::pauliRotPairs(whole.data(), 0, blocks, x, z, c,
+                                        v.real(), v.imag());
+            const double sumWhole = kern::ranges::expectPairs(
+                base.data(), 0, blocks, x, z, true);
+            double sumSplit = 0.0;
+            for (size_t i = 0; i + 1 < edges.size(); ++i) {
+                kern::ranges::pauliRotPairs(split.data(), edges[i],
+                                            edges[i + 1], x, z, c,
+                                            v.real(), v.imag());
+                sumSplit += kern::ranges::expectPairs(
+                    base.data(), edges[i], edges[i + 1], x, z, true);
+            }
+            EXPECT_EQ(std::memcmp(whole.data(), split.data(),
+                                  dim * sizeof(cplx)),
+                      0)
+                << "rotation " << what;
+            EXPECT_NEAR(sumSplit, sumWhole, 1e-13) << "expectation " << what;
+
+            // H·psi over the basis ranges of aligned blocks (b, b+1).
+            std::vector<cplx> outWhole(dim), outSplit(dim);
+            kern::ranges::accumulatePauli(base.data(), outWhole.data(), 0,
+                                          dim, x, z, w);
+            const std::vector<size_t> halves = splitEdges(dim / 2);
+            for (size_t i = 0; i + 1 < halves.size(); ++i)
+                kern::ranges::accumulatePauli(
+                    base.data(), outSplit.data(), 2 * halves[i],
+                    2 * halves[i + 1], x, z, w);
+            EXPECT_EQ(std::memcmp(outWhole.data(), outSplit.data(),
+                                  dim * sizeof(cplx)),
+                      0)
+                << "accumulatePauli " << what;
+        }
+    }
+
+    // The kernel entry point against the generic oracle.
+    auto amp = base, ref = base;
+    const PauliString p = randomString(n, rng, false);
     kern::applyPauliRotation(amp.data(), amp.size(), p.xMask(),
                              p.zMask(), 0.37);
     kern::applyPauliRotationGeneric(ref.data(), ref.size(), p.xMask(),
                                     p.zMask(), 0.37);
-    expectClose(amp, ref, "parallel rotation");
+    expectClose(amp, ref, "rotation");
 
-    double e = 0.0;
-    e = parallelReduce(0, amp.size(), 0.0,
-                       [&](size_t lo, size_t hi) {
-                           double s = 0;
-                           for (size_t i = lo; i < hi; ++i)
-                               s += std::norm(amp[i]);
-                           return s;
-                       },
-                       /*grain=*/64);
+    // parallelReduce itself, chunked by a grain far below the size.
+    const double e = parallelReduce(
+        0, amp.size(), 0.0,
+        [&](size_t lo, size_t hi) {
+            double s = 0;
+            for (size_t i = lo; i < hi; ++i)
+                s += std::norm(amp[i]);
+            return s;
+        },
+        /*grain=*/64);
     EXPECT_NEAR(e, 1.0, 1e-10);
 }
 
@@ -422,6 +495,95 @@ TEST(Simd, ExpectationMatchesScalarAndGeneric)
             }
             EXPECT_NEAR(vec, ref, 1e-12) << "simd " << p.str();
             EXPECT_NEAR(sca, ref, 1e-12) << "scalar " << p.str();
+        }
+    }
+}
+
+namespace {
+
+/**
+ * One x mask of every class the pair kernels tell apart, kept to n
+ * qubits: x = 0, x == 1 (the partner block is the block itself), x
+ * with bit 0 set and a higher bit (0b11, 0b101, 0b1001, random),
+ * lowest set bit at qubit 1, and lowest set bit at qubit >= 2.
+ */
+std::vector<uint64_t>
+xMaskClasses(unsigned n, Rng &rng)
+{
+    const uint64_t mask = (uint64_t{1} << n) - 1;
+    const uint64_t r = rng.index(uint64_t{1} << n);
+    std::vector<uint64_t> xs = {0, 1, 0b11, 0b101, 0b1001,
+                                (r | 1) & mask, ((r << 1) | 2) & mask,
+                                ((r << 2) | 4) & mask};
+    std::vector<uint64_t> kept;
+    for (uint64_t x : xs)
+        if ((x & ~mask) == 0)
+            kept.push_back(x);
+    return kept;
+}
+
+} // namespace
+
+TEST(Simd, PauliPairKernelsCoverEveryXClass)
+{
+    // Rotation, expectation and H·psi term on the vector path, the
+    // forced-scalar path and the generic oracle, for every x class.
+    Rng rng(53);
+    for (unsigned n : {1u, 2u, 3u, 7u, 13u}) {
+        const auto base = randomAmplitudes(n, 1300 + n);
+        const size_t dim = base.size();
+        for (uint64_t x : xMaskClasses(n, rng)) {
+            for (int rep = 0; rep < 2; ++rep) {
+                const uint64_t z = rng.index(uint64_t{1} << n);
+                const double theta = rng.uniform(-3.0, 3.0);
+                const cplx w(rng.gaussian(), rng.gaussian());
+                const std::string what = "n=" + std::to_string(n) +
+                                         " x=" + std::to_string(x) +
+                                         " z=" + std::to_string(z);
+
+                auto rotRef = base;
+                kern::applyPauliRotationGeneric(rotRef.data(), dim, x,
+                                                z, theta);
+                const double expRef =
+                    kern::expectationGeneric(base.data(), dim, x, z);
+                std::vector<cplx> accRef(base.rbegin(), base.rend());
+                kern::accumulatePauliGeneric(base.data(), dim, x, z, w,
+                                             accRef.data());
+                for (bool simd : {true, false}) {
+                    SimdGuard g(simd);
+                    const std::string path = simd ? "simd " : "scalar ";
+                    auto rot = base;
+                    kern::applyPauliRotation(rot.data(), dim, x, z,
+                                             theta);
+                    expectClose(rot, rotRef, path + "rotation " + what);
+                    EXPECT_NEAR(kern::expectation(base.data(), dim, x, z),
+                                expRef, 1e-12)
+                        << path << "expectation " << what;
+                    std::vector<cplx> acc(base.rbegin(), base.rend());
+                    kern::accumulatePauli(base.data(), dim, x, z, w,
+                                          acc.data());
+                    expectClose(acc, accRef,
+                                path + "accumulatePauli " + what);
+                }
+
+                // The H·psi range bodies over odd [lo, hi) against the
+                // plain definition of the partial update.
+                const size_t lo = dim > 2 ? 1 : 0;
+                const size_t hi = dim > 2 ? dim - 1 : dim;
+                std::vector<cplx> part(dim), rv(dim), rs(dim);
+                for (size_t b = lo; b < hi; ++b)
+                    part[b] = (std::popcount(z & b) & 1 ? -w : w) *
+                              base[b ^ x];
+                {
+                    SimdGuard g(true);
+                    kern::ranges::accumulatePauli(base.data(), rv.data(),
+                                                  lo, hi, x, z, w);
+                }
+                kern::ranges::accumulatePauliScalar(
+                    base.data(), rs.data(), lo, hi, x, z, w);
+                expectClose(rv, part, "simd range " + what);
+                expectClose(rs, part, "scalar range " + what);
+            }
         }
     }
 }

@@ -5,7 +5,10 @@
  * parameter-shift gradients on LiH, in all three evaluation modes;
  * the adjoint sweep the ideal mode actually runs against the batched
  * shift rule (ms and max |delta g|); and analytic vs sampled
- * gradient quality at a sweep of shot budgets. Headline numbers land
+ * gradient quality at a sweep of shot budgets; and the split of one
+ * adjoint gradient on the 12-qubit BeH2 and H2O ansatze (forward
+ * replay, H psi, backward sweep, and the whole gradient replayed vs
+ * started from a prepared state). Headline numbers land
  * in BENCH_gradient.json under QCC_JSON. The batched-vs-serial ratio
  * on the gate-level noisy mode is algorithmic (pair-difference
  * suffix sweeps), so it holds even on one core; the statevector
@@ -13,6 +16,12 @@
  * scratch states from the common/parallel buffer pool. The adjoint
  * ratio is algorithmic too: O(R) rotations against O(R^2).
  * QCC_FULL=1 adds a 14-qubit NH3 row for both comparisons.
+ *
+ * The program is also a correctness check: it exits with status 1
+ * when an adjoint gradient differs from the batched shift rule by
+ * more than 1e-10 (the bound test_gradient pins), or when the
+ * gradient started from a prepared state is not bit-identical to the
+ * replaying one.
  */
 
 #include <chrono>
@@ -28,6 +37,8 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ferm/hamiltonian.hh"
+#include "sim/backend.hh"
+#include "sim/kernels.hh"
 #include "sim/noise_model.hh"
 #include "vqe/expectation_engine.hh"
 #include "vqe/gradient.hh"
@@ -55,6 +66,105 @@ maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
     for (size_t i = 0; i < a.size(); ++i)
         m = std::max(m, std::fabs(a[i] - b[i]));
     return m;
+}
+
+/** Largest adjoint-vs-shift |delta g| the check accepts. */
+constexpr double kAdjointTolerance = 1e-10;
+
+/** Mean wall time of `reps` calls of fn, in ms, after one warm-up. */
+template <typename Fn>
+double
+meanMs(int reps, Fn &&fn)
+{
+    fn();
+    const auto t0 = clock_type::now();
+    for (int r = 0; r < reps; ++r)
+        fn();
+    return millisSince(t0) / reps;
+}
+
+/**
+ * adjoint_split row for one catalog molecule at its equilibrium
+ * bond: the three parts of gradientAdjoint timed one by one (forward
+ * replay as SimBackend::applyAnsatz runs it, H psi with the real
+ * coefficient parts, and the backward sweep of one kern::adjointStep
+ * per rotation), then the whole gradient replayed and started from
+ * the prepared state. Returns false when the two gradients differ in
+ * any bit.
+ */
+bool
+adjointSplitRow(qccbench::JsonReport &json, const std::string &name,
+                int reps)
+{
+    const BenchmarkMolecule &entry = benchmarkMolecule(name);
+    const MolecularProblem prob =
+        buildMolecularProblem(entry, entry.equilibriumBond);
+    const Ansatz ansatz = buildUccsd(prob.nSpatial, prob.nElectrons);
+    std::vector<double> params(ansatz.nParams);
+    for (size_t i = 0; i < params.size(); ++i)
+        params[i] = 0.05 * double(i % 7 + 1);
+    const ParameterShiftEngine engine(prob.hamiltonian, ansatz);
+
+    StatevectorBackend backend(ansatz.nQubits);
+    const double forwardMs =
+        meanMs(reps, [&] { backend.applyAnsatz(ansatz, params); });
+    const Statevector &psi = backend.state();
+
+    std::vector<cplx> hpsi(psi.dim());
+    const double hpsiMs = meanMs(reps, [&] {
+        std::fill(hpsi.begin(), hpsi.end(), cplx(0.0));
+        for (const PauliTerm &t : prob.hamiltonian.terms())
+            psi.accumulatePauli(t.coeff.real(), t.string, hpsi);
+    });
+
+    // The backward sweep on copies of (H psi, psi); the copies are
+    // made outside the timed part.
+    std::vector<cplx> lam, chi;
+    double backwardMs = 0.0;
+    for (int r = 0; r <= reps; ++r) {
+        lam = hpsi;
+        chi = psi.amplitudes();
+        const auto t0 = clock_type::now();
+        for (size_t j = ansatz.rotations.size(); j-- > 0;) {
+            const PauliRotation &rot = ansatz.rotations[j];
+            if (rot.string.isIdentity())
+                continue;
+            kern::adjointStep(lam.data(), chi.data(), lam.size(),
+                              rot.string.xMask(), rot.string.zMask(),
+                              -params[rot.param] * rot.coeff);
+        }
+        if (r > 0) // the first pass warms up
+            backwardMs += millisSince(t0) / reps;
+    }
+
+    std::vector<double> replayed, reused;
+    const double replayedMs = meanMs(
+        reps, [&] { replayed = engine.gradientAdjoint(params); });
+    const double reusedMs = meanMs(
+        reps, [&] { reused = engine.gradientAdjoint(params, &psi); });
+    const bool bitwise = replayed == reused;
+
+    std::printf("%-5s n=%-2u R=%-4zu T=%-4zu %9.3f %8.3f %9.3f "
+                "%9.3f %8.3f  %s\n",
+                name.c_str(), ansatz.nQubits, ansatz.rotations.size(),
+                prob.hamiltonian.numTerms(), forwardMs, hpsiMs,
+                backwardMs, replayedMs, reusedMs,
+                bitwise ? "yes" : "NO");
+    json.row("adjoint_split_" + name,
+             {{"qubits", double(ansatz.nQubits)},
+              {"rotations", double(ansatz.rotations.size())},
+              {"terms", double(prob.hamiltonian.numTerms())},
+              {"forward_ms", forwardMs},
+              {"hpsi_ms", hpsiMs},
+              {"backward_ms", backwardMs},
+              {"replayed_ms", replayedMs},
+              {"reused_ms", reusedMs},
+              {"reuse_bitwise", bitwise ? 1.0 : 0.0}});
+    if (!bitwise)
+        std::printf("  FAIL %s: the gradient from the prepared state "
+                    "differs from the replayed one\n",
+                    name.c_str());
+    return bitwise;
 }
 
 } // namespace
@@ -164,6 +274,7 @@ main()
 
     // Ideal mode's own route: one adjoint backward sweep against the
     // batched shift rule it replaced.
+    bool ok = true;
     auto adjointRow = [&](const std::string &name,
                           const ParameterShiftEngine &engine,
                           const std::vector<double> &x,
@@ -187,6 +298,12 @@ main()
                         {"adjoint_ms", adjointMs},
                         {"speedup", shiftMs / adjointMs},
                         {"max_abs_dg", dg}});
+        if (!(dg <= kAdjointTolerance)) {
+            std::printf("  FAIL %s: adjoint and shift-rule gradients "
+                        "differ by more than %.0e\n",
+                        name.c_str(), kAdjointTolerance);
+            ok = false;
+        }
     };
     auto adjointHeader = [] {
         std::printf("%-18s %12s %12s %9s %10s\n", "ideal route",
@@ -195,6 +312,17 @@ main()
     qccbench::rule();
     adjointHeader();
     adjointRow("ideal_adjoint", batched, params, svEstimate, reps);
+
+    // Where one adjoint gradient spends its time, on the ansatze the
+    // vqe_uccsd benchmark workload runs.
+    qccbench::rule();
+    std::printf("adjoint split (ms per gradient)\n");
+    std::printf("%-5s %-17s %9s %8s %9s %9s %8s  %s\n", "mol", "",
+                "forward", "H psi", "backward", "replayed", "reused",
+                "bitwise");
+    for (const char *mol : {"BeH2", "H2O"})
+        ok = adjointSplitRow(json, mol, qccbench::fullMode() ? 50 : 10) &&
+             ok;
 
     // Gradient quality: sampled estimates against the exact
     // (adjoint) gradient as the shot budget grows.
@@ -275,5 +403,5 @@ main()
     }
 
     json.write();
-    return 0;
+    return ok ? 0 : 1;
 }

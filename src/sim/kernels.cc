@@ -205,17 +205,46 @@ expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z)
 }
 
 cplx
-pauliOverlap(const cplx *lam, const cplx *chi, size_t dim, uint64_t x,
-             uint64_t z)
+adjointStep(cplx *lam, cplx *chi, size_t dim, uint64_t x, uint64_t z,
+            double theta)
 {
+    // The same constants as applyPauliRotation, so both states get
+    // exactly its update.
+    const double c = std::cos(theta);
+    const cplx is(0, std::sin(theta));
+
+    if (x == 0) {
+        // <lam|Z^z|chi> = sum_b (-1)^{|z & b|} conj(lam[b]) chi[b].
+        // Each chunk is summed, then rotated by the range body
+        // applyPauliRotation uses, over the same chunk edges.
+        const cplx fEven = c + is, fOdd = c - is;
+        return parallelReduce(
+            0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
+                double re = 0.0, im = 0.0;
+                for (size_t b = lo; b < hi; ++b) {
+                    const cplx t = std::conj(lam[b]) * chi[b];
+                    const double sb = paritySign(z, b);
+                    re += sb * t.real();
+                    im += sb * t.imag();
+                }
+                ranges::pauliRotDiag(lam, lo, hi, z, fEven, fOdd);
+                ranges::pauliRotDiag(chi, lo, hi, z, fEven, fOdd);
+                return cplx(re, im);
+            });
+    }
+
     // (P chi)[b] = i^{|x&z|} (-1)^{|z & (b^x)|} chi[b^x]
     //            = i^{|x&z|} sigma (-1)^{|z & b|} chi[b^x],
     // so the sweep sums the b-parity form and the constant
     // i^{|x&z|} sigma is applied once.
+    const cplx v = paritySign(z, x) * (is * iPow(std::popcount(x & z)));
     const cplx s = parallelReduce(
-        0, dim, cplx(0.0), [=](size_t lo, size_t hi) {
-            return ranges::pauliOverlap(lam, chi, lo, hi, x, z);
-        });
+        0, ranges::pairBlocks(dim, x), cplx(0.0),
+        [=](size_t lo, size_t hi) {
+            return ranges::adjointPairs(lam, chi, lo, hi, x, z, c,
+                                        v.real(), v.imag());
+        },
+        pairBlockGrain(x));
     return iPow(std::popcount(x & z)) * paritySign(z, x) * s;
 }
 

@@ -14,7 +14,7 @@
  * i^{|x&z|} prefactor and the (-1)^{|z&x|} partner-sign relation into
  * constants so each aligned block of two amplitudes costs one
  * popcount, and the Pauli pair kernels (rotation, expectation,
- * overlap, H·psi) share one block-pair form for every x. All sweeps are
+ * adjoint step, H·psi) share one block-pair form for every x. All sweeps are
  * block-parallel via parallelFor/parallelReduce, and each chunk runs
  * through the runtime-dispatched scalar/AVX2 range primitives of
  * sim/simd.hh (QCC_SIMD selects the path; see that header).
@@ -82,12 +82,16 @@ void accumulatePauli(const cplx *amp, size_t dim, uint64_t x, uint64_t z,
 double expectation(const cplx *amp, size_t dim, uint64_t x, uint64_t z);
 
 /**
- * <lam| P |chi> for two states of the same dimension, read-only: the
- * adjoint gradient's per-rotation inner product, taken without
- * forming P|chi> in a scratch copy.
+ * One rotation of the adjoint gradient's backward sweep, in one pass
+ * over both states: returns <lam| P |chi> read from the states as
+ * given, and applies exp(i theta P) to each (theta = -phi un-rotates).
+ * The updated states are byte-identical to two applyPauliRotation
+ * calls; the overlap agrees with pauliOverlapGeneric up to summation
+ * order. Block-pair kernel (ranges::adjointPairs) for x != 0; for
+ * x == 0 each chunk is read, then phase-rotated while in cache.
  */
-cplx pauliOverlap(const cplx *lam, const cplx *chi, size_t dim,
-                  uint64_t x, uint64_t z);
+cplx adjointStep(cplx *lam, cplx *chi, size_t dim, uint64_t x,
+                 uint64_t z, double theta);
 
 /**
  * One grouped sweep for a qubit-wise-commuting family already rotated

@@ -14,16 +14,17 @@
  *    b+1 is the sign of b times (-1)^{z&1}, so one popcount per block
  *    (or per 4 amplitudes, in the grouped sweep) suffices.
  *  - Every kernel that pairs b with b ^ x (pauliRotPairs, expectPairs,
- *    pauliOverlap, accumulatePauli) uses one block-pair form for all
+ *    adjointPairs, accumulatePauli) uses one block-pair form for all
  *    x: a register holds the aligned block (b0, b0+1), its partner
  *    block is at (b0 ^ x) & ~1 = b0 ^ (x & ~1), and when x has bit 0
  *    set the partner's two complexes are swapped in-register
- *    (_mm256_permute2f128_pd). The rotation and expectation visit
- *    only the blocks with bit h clear (h = lowest set bit of x & ~1),
- *    b0 = 2 * expandBit(m, h >> 1), so one iteration covers two pairs
- *    with two loads (and two stores); for x == 1 the partner block is
- *    the block itself, swapped. The partner block's signs are the
- *    block's times (-1)^{|z & (x & ~1)|}.
+ *    (_mm256_permute2f128_pd). The rotation, the expectation and the
+ *    adjoint step visit only the blocks with bit h clear (h = lowest
+ *    set bit of x & ~1), b0 = 2 * expandBit(m, h >> 1), so one
+ *    iteration covers two pairs with two loads (and two stores) per
+ *    state; for x == 1 the partner block is the block itself,
+ *    swapped. The partner block's signs are the block's times
+ *    (-1)^{|z & (x & ~1)|}.
  *  - diagonalGroupExpectation uses _mm256_hadd_pd, which interleaves
  *    lanes as (b, b+2, b+1, b+3); the per-term low-bit sign patterns
  *    are stored in that order so the FMA accumulation lines up.
@@ -103,16 +104,25 @@ expectPairOne(const cplx *amp, size_t b, size_t b2, uint64_t z,
                  amp[b].imag() * amp[b2].real());
 }
 
-/** (-1)^{|z&b|} conj(lam[b]) chi[b^x] in real arithmetic. */
+/**
+ * One adjoint-step pair (b, b2 = b ^ x): adds both overlap terms,
+ * s_b conj(lam[b]) chi[b2] + s_b2 conj(lam[b2]) chi[b] with
+ * s_b2 = sigma s_b, from the old values, then rotates the pair in
+ * both states exactly as pauliRotPairsScalar does.
+ */
 inline void
-overlapOne(const cplx *lam, const cplx *chi, size_t b, uint64_t x,
-           uint64_t z, double &re, double &im)
+adjointPairOne(cplx *lam, cplx *chi, size_t b, size_t b2, uint64_t z,
+               double sigma, double c, double ur, double ui, double vr,
+               double vi, double &re, double &im)
 {
     const double sb = paritySign(z, b);
-    const double lr = lam[b].real(), li = lam[b].imag();
-    const double cr = chi[b ^ x].real(), ci = chi[b ^ x].imag();
-    re += sb * (lr * cr + li * ci);
-    im += sb * (lr * ci - li * cr);
+    const cplx l = lam[b], l2 = lam[b2], h = chi[b], h2 = chi[b2];
+    re += sb * ((l.real() * h2.real() + l.imag() * h2.imag()) +
+                sigma * (l2.real() * h.real() + l2.imag() * h.imag()));
+    im += sb * ((l.real() * h2.imag() - l.imag() * h2.real()) +
+                sigma * (l2.real() * h.imag() - l2.imag() * h.real()));
+    rotPairOne(lam, b, b2, z, c, ur, ui, vr, vi);
+    rotPairOne(chi, b, b2, z, c, ur, ui, vr, vi);
 }
 
 inline double
@@ -268,12 +278,22 @@ expectPairsScalar(const cplx *amp, size_t m_lo, size_t m_hi,
 }
 
 cplx
-pauliOverlapScalar(const cplx *lam, const cplx *chi, size_t b_lo,
-                   size_t b_hi, uint64_t x, uint64_t z)
+adjointPairsScalar(cplx *lam, cplx *chi, size_t m_lo, size_t m_hi,
+                   uint64_t x, uint64_t z, double c, double vr,
+                   double vi)
 {
+    const uint64_t hp = blockPivot(x);
+    const double sigma = paritySign(z, x);
+    const double ur = sigma * vr, ui = sigma * vi;
     double re = 0.0, im = 0.0;
-    for (size_t b = b_lo; b < b_hi; ++b)
-        overlapOne(lam, chi, b, x, z, re, im);
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        adjointPairOne(lam, chi, b0, b0 ^ x, z, sigma, c, ur, ui, vr, vi,
+                       re, im);
+        if (x != 1)
+            adjointPairOne(lam, chi, b0 + 1, (b0 + 1) ^ x, z, sigma, c,
+                           ur, ui, vr, vi, re, im);
+    }
     return {re, im};
 }
 
@@ -410,6 +430,37 @@ signMask(uint64_t m, uint64_t b)
 {
     const uint64_t odd = uint64_t(std::popcount(m & b) & 1);
     return _mm256_castsi256_pd(_mm256_set1_epi64x(int64_t(odd << 63)));
+}
+
+/**
+ * Store the Pauli-rotation update of one block at p: a * c plus the
+ * lane-signed v * partner (partner already lane-swapped as needed).
+ * pauliRotPairsAvx2 and adjointPairsAvx2 both write through it, so
+ * the two kernels write the same bits.
+ */
+QCC_AVX2 inline void
+rotStore(double *p, __m256d a, __m256d partner, __m256d cv, __m256d vr,
+         __m256d vi, __m256d s0)
+{
+    _mm256_storeu_pd(
+        p, _mm256_fmadd_pd(a, cv,
+                           _mm256_xor_pd(cmulBcast(partner, vr, vi), s0)));
+}
+
+/**
+ * Add the overlap terms conj(l) h of one block to (accRe, accIm), h
+ * being the partner amplitudes lined up with l: conj(l) h =
+ * (lr hr + li hi) + i (lr hi - li hr), so the real part sums l * h
+ * and the imaginary part l * swap(h); wRe/wIm carry the lane signs
+ * (odd lanes negated in wIm).
+ */
+QCC_AVX2 inline void
+overlapAcc(__m256d l, __m256d h, __m256d wRe, __m256d wIm, __m256d &accRe,
+           __m256d &accIm)
+{
+    accRe = _mm256_fmadd_pd(_mm256_mul_pd(l, h), wRe, accRe);
+    accIm = _mm256_fmadd_pd(
+        _mm256_mul_pd(l, _mm256_shuffle_pd(h, h, 0x5)), wIm, accIm);
 }
 
 QCC_AVX2 inline double
@@ -592,11 +643,8 @@ pauliRotPairsAvx2(cplx *ampc, size_t m_lo, size_t m_hi, uint64_t x,
         for (size_t m = m_lo; m < m_hi; ++m) {
             double *p = amp + 4 * m;
             const __m256d a = _mm256_loadu_pd(p);
-            const __m256d as = _mm256_permute2f128_pd(a, a, 0x01);
-            _mm256_storeu_pd(
-                p, _mm256_fmadd_pd(a, cv,
-                                   _mm256_xor_pd(cmulBcast(as, evr, evi),
-                                                 signMask(z, 2 * m))));
+            rotStore(p, a, _mm256_permute2f128_pd(a, a, 0x01), cv, evr,
+                     evi, signMask(z, 2 * m));
         }
         return;
     }
@@ -618,12 +666,8 @@ pauliRotPairsAvx2(cplx *ampc, size_t m_lo, size_t m_hi, uint64_t x,
             swapLanes ? _mm256_permute2f128_pd(a, a, 0x01) : a;
         const __m256d ps =
             swapLanes ? _mm256_permute2f128_pd(p, p, 0x01) : p;
-        _mm256_storeu_pd(
-            pa, _mm256_fmadd_pd(
-                    a, cv, _mm256_xor_pd(cmulBcast(ps, evr, evi), s0)));
-        _mm256_storeu_pd(
-            pp, _mm256_fmadd_pd(
-                    p, cv, _mm256_xor_pd(cmulBcast(as, pvr, pvi), s0)));
+        rotStore(pa, a, ps, cv, evr, evi, s0);
+        rotStore(pp, p, as, cv, pvr, pvi, s0);
     }
 }
 
@@ -696,44 +740,81 @@ expectPairsAvx2(const cplx *ampc, size_t m_lo, size_t m_hi,
 }
 
 QCC_AVX2 cplx
-pauliOverlapAvx2(const cplx *lamc, const cplx *chic, size_t b_lo,
-                 size_t b_hi, uint64_t x, uint64_t z)
+adjointPairsAvx2(cplx *lamc, cplx *chic, size_t m_lo, size_t m_hi,
+                 uint64_t x, uint64_t z, double c, double vr, double vi)
 {
-    const double *lam = reinterpret_cast<const double *>(lamc);
-    const double *chi = reinterpret_cast<const double *>(chic);
-    // Partners of the even-aligned pair (b, b+1) are the aligned pair
-    // at (b^x) & ~1: in order when x has bit 0 clear, lane-swapped
-    // when it is set (pivot 1).
-    const bool swapLanes = (x & 1) != 0;
+    double *lam = reinterpret_cast<double *>(lamc);
+    double *chi = reinterpret_cast<double *>(chic);
+    // Rotation constants as in pauliRotPairsAvx2.
     const double e0 = (z & 1) ? -1.0 : 1.0;
-    const __m256d evec = _mm256_setr_pd(1.0, 1.0, e0, e0);
-    // conj(l) c = (lr cr + li ci) + i (lr ci - li cr): the real part
-    // sums l * c, the imaginary part sums l * swap(c) with the odd
-    // lanes negated.
-    const __m256d evecIm = _mm256_setr_pd(1.0, -1.0, e0, -e0);
+    const __m256d cv = _mm256_set1_pd(c);
+    const __m256d evr = _mm256_setr_pd(vr, vr, e0 * vr, e0 * vr);
+    const __m256d evi = _mm256_setr_pd(vi, vi, e0 * vi, e0 * vi);
+    // Overlap lane weights (see overlapAcc); the block's sign s_b0 is
+    // xor-ed on per iteration.
+    const __m256d wRe = _mm256_setr_pd(1.0, 1.0, e0, e0);
+    const __m256d wIm = _mm256_setr_pd(1.0, -1.0, e0, -e0);
     __m256d accRe = _mm256_setzero_pd();
     __m256d accIm = _mm256_setzero_pd();
-    double re = 0.0, im = 0.0;
-    size_t b = b_lo;
-    if ((b & 1) && b < b_hi) {
-        overlapOne(lamc, chic, b, x, z, re, im);
-        ++b;
+    const uint64_t xe = x & ~uint64_t{1};
+    if (xe == 0) {
+        // x == 1: the partner block is the block itself, swapped, and
+        // its two lanes are the pair's two overlap terms.
+        for (size_t m = m_lo; m < m_hi; ++m) {
+            double *pl = lam + 4 * m;
+            double *ph = chi + 4 * m;
+            const __m256d s0 = signMask(z, 2 * m);
+            const __m256d l = _mm256_loadu_pd(pl);
+            const __m256d h = _mm256_loadu_pd(ph);
+            const __m256d ls = _mm256_permute2f128_pd(l, l, 0x01);
+            const __m256d hs = _mm256_permute2f128_pd(h, h, 0x01);
+            overlapAcc(l, hs, _mm256_xor_pd(wRe, s0),
+                       _mm256_xor_pd(wIm, s0), accRe, accIm);
+            rotStore(pl, l, ls, cv, evr, evi, s0);
+            rotStore(ph, h, hs, cv, evr, evi, s0);
+        }
+        return {hsum(accRe), hsum(accIm)};
     }
-    for (; b + 2 <= b_hi; b += 2) {
-        const __m256d s0 = _mm256_set1_pd(paritySign(z, b));
-        const __m256d l = _mm256_loadu_pd(lam + 2 * b);
-        __m256d c = _mm256_loadu_pd(chi + 2 * ((b ^ x) & ~size_t(1)));
-        if (swapLanes)
-            c = _mm256_permute2f128_pd(c, c, 0x01);
-        accRe = _mm256_fmadd_pd(_mm256_mul_pd(l, c),
-                                _mm256_mul_pd(s0, evec), accRe);
-        accIm = _mm256_fmadd_pd(
-            _mm256_mul_pd(l, _mm256_shuffle_pd(c, c, 0x5)),
-            _mm256_mul_pd(s0, evecIm), accIm);
+    // The partner block's signs are the block's times
+    // (-1)^{|z & (x & ~1)|}, for the rotation and the overlap alike.
+    const __m256d sigmaE = _mm256_set1_pd(paritySign(z, xe));
+    const __m256d pvr = _mm256_mul_pd(sigmaE, evr);
+    const __m256d pvi = _mm256_mul_pd(sigmaE, evi);
+    const __m256d pwRe = _mm256_mul_pd(sigmaE, wRe);
+    const __m256d pwIm = _mm256_mul_pd(sigmaE, wIm);
+    const uint64_t hp = blockPivot(x);
+    const bool swapLanes = (x & 1) != 0;
+    for (size_t m = m_lo; m < m_hi; ++m) {
+        const size_t b0 = blockBase(m, hp);
+        double *pla = lam + 2 * b0;
+        double *plp = lam + 2 * (b0 ^ xe);
+        double *pha = chi + 2 * b0;
+        double *php = chi + 2 * (b0 ^ xe);
+        const __m256d s0 = signMask(z, b0);
+        const __m256d la = _mm256_loadu_pd(pla);
+        const __m256d lp = _mm256_loadu_pd(plp);
+        const __m256d ha = _mm256_loadu_pd(pha);
+        const __m256d hp_ = _mm256_loadu_pd(php);
+        const __m256d las =
+            swapLanes ? _mm256_permute2f128_pd(la, la, 0x01) : la;
+        const __m256d lps =
+            swapLanes ? _mm256_permute2f128_pd(lp, lp, 0x01) : lp;
+        const __m256d has =
+            swapLanes ? _mm256_permute2f128_pd(ha, ha, 0x01) : ha;
+        const __m256d hps =
+            swapLanes ? _mm256_permute2f128_pd(hp_, hp_, 0x01) : hp_;
+        // Block lanes meet the partner's chi, partner lanes the
+        // block's.
+        overlapAcc(la, hps, _mm256_xor_pd(wRe, s0),
+                   _mm256_xor_pd(wIm, s0), accRe, accIm);
+        overlapAcc(lp, has, _mm256_xor_pd(pwRe, s0),
+                   _mm256_xor_pd(pwIm, s0), accRe, accIm);
+        rotStore(pla, la, lps, cv, evr, evi, s0);
+        rotStore(plp, lp, las, cv, pvr, pvi, s0);
+        rotStore(pha, ha, hps, cv, evr, evi, s0);
+        rotStore(php, hp_, has, cv, pvr, pvi, s0);
     }
-    if (b < b_hi)
-        overlapOne(lamc, chic, b, x, z, re, im);
-    return {hsum(accRe) + re, hsum(accIm) + im};
+    return {hsum(accRe), hsum(accIm)};
 }
 
 QCC_AVX2 void
@@ -1045,14 +1126,14 @@ accumulatePauli(const cplx *amp, cplx *out, size_t b_lo, size_t b_hi,
 }
 
 cplx
-pauliOverlap(const cplx *lam, const cplx *chi, size_t b_lo,
-             size_t b_hi, uint64_t x, uint64_t z)
+adjointPairs(cplx *lam, cplx *chi, size_t m_lo, size_t m_hi, uint64_t x,
+             uint64_t z, double c, double vr, double vi)
 {
 #ifdef QCC_SIMD_X86
     if (simdActive())
-        return pauliOverlapAvx2(lam, chi, b_lo, b_hi, x, z);
+        return adjointPairsAvx2(lam, chi, m_lo, m_hi, x, z, c, vr, vi);
 #endif
-    return pauliOverlapScalar(lam, chi, b_lo, b_hi, x, z);
+    return adjointPairsScalar(lam, chi, m_lo, m_hi, x, z, c, vr, vi);
 }
 
 double

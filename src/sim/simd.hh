@@ -147,7 +147,7 @@ double expectPairsScalar(const cplx *amp, size_t m_lo, size_t m_hi,
  * H·psi term over basis indices [b_lo, b_hi), read-only in amp:
  * out[b] += w * (-1)^{|z&b|} * amp[b ^ x], with w already carrying
  * i^{|x&z|} (-1)^{|z&x|} (see kern::accumulatePauli). One form for
- * every x, as in pauliOverlap: an aligned (b, b+1) pair reads the
+ * every x, as in pauliRotPairs: an aligned (b, b+1) pair reads the
  * aligned partner pair at b ^ (x & ~1), lane-swapped when x has
  * bit 0 set. out must not alias amp.
  */
@@ -157,17 +157,21 @@ void accumulatePauliScalar(const cplx *amp, cplx *out, size_t b_lo,
                            size_t b_hi, uint64_t x, uint64_t z, cplx w);
 
 /**
- * Pauli-overlap partial sum over basis indices [b_lo, b_hi):
- * sum_b (-1)^{|z&b|} conj(lam[b]) chi[b^x] (see kern::pauliOverlap
- * for the constant that turns it into <lam|P|chi>). Read-only, and
- * one form for every x: x == 0 reads chi[b], and an x with bit 0 set
- * finds the partners of an aligned (b, b+1) pair swapped inside one
- * 256-bit register, so the AVX2 body has no scalar fallback.
+ * Adjoint-sweep step over block indices [m_lo, m_hi) (see
+ * pairBlocks), x != 0: returns the overlap partial sum
+ * sum_b (-1)^{|z&b|} conj(lam[b]) chi[b^x] over every index of the
+ * visited blocks and their partners, read before the update, then
+ * applies the pauliRotPairs update (same c, vr, vi, same arithmetic)
+ * to lam and to chi. One iteration loads the block and partner
+ * registers of both states once; kern::adjointStep applies the
+ * constant that turns the sum into <lam|P|chi>.
  */
-cplx pauliOverlap(const cplx *lam, const cplx *chi, size_t b_lo,
-                  size_t b_hi, uint64_t x, uint64_t z);
-cplx pauliOverlapScalar(const cplx *lam, const cplx *chi, size_t b_lo,
-                        size_t b_hi, uint64_t x, uint64_t z);
+cplx adjointPairs(cplx *lam, cplx *chi, size_t m_lo, size_t m_hi,
+                  uint64_t x, uint64_t z, double c, double vr,
+                  double vi);
+cplx adjointPairsScalar(cplx *lam, cplx *chi, size_t m_lo, size_t m_hi,
+                        uint64_t x, uint64_t z, double c, double vr,
+                        double vi);
 
 /** sum_b (-1)^{|z&b|} |amp[b]|^2 over [b_lo, b_hi). */
 double expectDiag(const cplx *amp, size_t b_lo, size_t b_hi,

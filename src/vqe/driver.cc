@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -73,6 +74,14 @@ VqeDriver::makeBackend() const
     return strategy->makeBackend();
 }
 
+void
+VqeDriver::prepare(const std::vector<double> &params)
+{
+    preparedParams.reset(); // nothing valid if applyAnsatz throws
+    evalBackend->applyAnsatz(ansatz, params);
+    preparedParams = params;
+}
+
 double
 VqeDriver::measureCurrent(SimBackend &backend, uint64_t stream,
                           double *variance_out)
@@ -93,7 +102,7 @@ VqeDriver::recordPoint(int iter, double e, double var, double gnorm)
 double
 VqeDriver::energy(const std::vector<double> &params)
 {
-    evalBackend->applyAnsatz(ansatz, params);
+    prepare(params);
     const uint64_t stream = deriveStream(
         deriveStream(opts.seed, kVqeStreamEnergy), evalCount);
     ++evalCount;
@@ -112,9 +121,16 @@ VqeDriver::gradient(const std::vector<double> &params)
         deriveStream(deriveStream(opts.seed, kVqeStreamGradient),
                      gradCount);
     ++gradCount;
+    // Compared bitwise: 0.0 == -0.0, yet states prepared at the two
+    // may differ in the signs of zero amplitudes.
+    const bool samePoint =
+        preparedParams && preparedParams->size() == params.size() &&
+        std::memcmp(preparedParams->data(), params.data(),
+                    params.size() * sizeof(double)) == 0;
     uint64_t shots = 0;
-    std::vector<double> g =
-        strategy->gradient(shiftEngine, params, callStream, &shots);
+    std::vector<double> g = strategy->gradient(
+        shiftEngine, params, samePoint ? evalBackend.get() : nullptr,
+        callStream, &shots);
     shotsTotal += shots;
     return g;
 }
@@ -126,7 +142,7 @@ VqeDriver::runGradientDescent()
     const bool stochastic = strategy->stochastic();
 
     VqeResult res;
-    evalBackend->applyAnsatz(ansatz, x);
+    prepare(x);
     double var = 0.0;
     double e = measureCurrent(
         *evalBackend,
@@ -160,7 +176,7 @@ VqeDriver::runGradientDescent()
             for (int ls = 0; ls < 30; ++ls) {
                 for (size_t j = 0; j < x.size(); ++j)
                     xNew[j] = x[j] - step * g[j];
-                evalBackend->applyAnsatz(ansatz, xNew);
+                prepare(xNew);
                 eNew = measureCurrent(*evalBackend, 0, &var);
                 ++evals;
                 if (eNew <= e - 1e-4 * step * gg) {
@@ -180,7 +196,7 @@ VqeDriver::runGradientDescent()
                 opts.learningRate / std::pow(iter + 1.0, 0.602);
             for (size_t j = 0; j < x.size(); ++j)
                 xNew[j] = x[j] - step * g[j];
-            evalBackend->applyAnsatz(ansatz, xNew);
+            prepare(xNew);
             eNew = measureCurrent(
                 *evalBackend,
                 deriveStream(deriveStream(opts.seed,
@@ -225,7 +241,7 @@ VqeDriver::run()
         // parameters instead of tightening every iteration. The
         // strategy scales its own sampling policy, so injected
         // strategies and driver options cannot diverge here.
-        evalBackend->applyAnsatz(ansatz, res.params);
+        prepare(res.params);
         EnergyEstimate fin = strategy->finalReadout(
             *evalBackend, deriveStream(opts.seed, kVqeStreamReadout),
             opts.finalReadoutFactor);

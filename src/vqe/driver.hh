@@ -37,6 +37,7 @@
 #define QCC_VQE_DRIVER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,7 +158,10 @@ class VqeDriver
 
     /**
      * Exact gradient at `params`, routed by the strategy (adjoint
-     * sweep or parameter shift); counted as 2R evaluations.
+     * sweep or parameter shift); counted as 2R evaluations. When the
+     * last state this driver prepared is at exactly `params` (L-BFGS
+     * and gradient descent ask for g(x) right after f(x)), the
+     * strategy starts from that state instead of replaying it.
      */
     std::vector<double> gradient(const std::vector<double> &params);
 
@@ -184,6 +188,8 @@ class VqeDriver
   private:
     friend class GradientDescentVqeOptimizer;
 
+    /** Prepare evalBackend at `params` and record them. */
+    void prepare(const std::vector<double> &params);
     double measureCurrent(SimBackend &backend, uint64_t stream,
                           double *variance_out);
     VqeResult runGradientDescent();
@@ -196,6 +202,9 @@ class VqeDriver
     std::shared_ptr<const VqeOptimizer> optimizer;
     ParameterShiftEngine shiftEngine;
     std::unique_ptr<SimBackend> evalBackend; ///< reused, serial path
+    /** Parameters of evalBackend's state; empty before the first
+     *  prepare(). */
+    std::optional<std::vector<double>> preparedParams;
     VqeTrace traceData;
     uint64_t shotsTotal = 0;
     uint64_t evalCount = 0;

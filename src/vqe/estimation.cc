@@ -56,13 +56,16 @@ AnalyticEstimation::measure(SimBackend &backend, uint64_t) const
 std::vector<double>
 AnalyticEstimation::gradient(const ParameterShiftEngine &shift,
                              const std::vector<double> &params,
-                             uint64_t, uint64_t *shots_out) const
+                             const SimBackend *prepared, uint64_t,
+                             uint64_t *shots_out) const
 {
     if (shots_out)
         *shots_out = 0;
-    // Pure state: one adjoint backward sweep, O(R) rotations.
+    // Pure state: one adjoint backward sweep, O(R) rotations, from
+    // the prepared state when there is one.
     if (model.pureState)
-        return shift.gradientAdjoint(params);
+        return shift.gradientAdjoint(
+            params, prepared ? prepared->statevector() : nullptr);
     // Mixed state: the pair-differenced noisy sweep (one suffix
     // application per rotation through the cached compiled circuit).
     return shift.gradientNoisy(params, model.noise);
@@ -115,7 +118,7 @@ SampledEstimation::finalReadout(SimBackend &backend, uint64_t stream,
 std::vector<double>
 SampledEstimation::gradient(const ParameterShiftEngine &shift,
                             const std::vector<double> &params,
-                            uint64_t call_stream,
+                            const SimBackend *, uint64_t call_stream,
                             uint64_t *shots_out) const
 {
     // Every shifted evaluation spends the fixed allocation;

@@ -124,13 +124,17 @@ class EstimationStrategy
      * optimal path (the adjoint sweep for an analytic pure state;
      * parameter shift otherwise: prefix-shared statevector replays,
      * pair-differenced noisy sweeps, or generic per-task
-     * backends). `call_stream` seeds per-task readout streams;
-     * `shots_out`, when non-null, receives the shots the gradient
-     * spent.
+     * backends). `prepared`, when non-null, is a backend of this
+     * strategy already holding the state at `params` (the adjoint
+     * sweep starts from it instead of replaying the ansatz; the
+     * other routes ignore it). `call_stream` seeds per-task readout
+     * streams; `shots_out`, when non-null, receives the shots the
+     * gradient spent.
      */
     virtual std::vector<double>
     gradient(const ParameterShiftEngine &engine,
-             const std::vector<double> &params, uint64_t call_stream,
+             const std::vector<double> &params,
+             const SimBackend *prepared, uint64_t call_stream,
              uint64_t *shots_out) const = 0;
 };
 
@@ -149,7 +153,8 @@ class AnalyticEstimation : public EstimationStrategy
                            uint64_t stream) const override;
     std::vector<double>
     gradient(const ParameterShiftEngine &engine,
-             const std::vector<double> &params, uint64_t call_stream,
+             const std::vector<double> &params,
+             const SimBackend *prepared, uint64_t call_stream,
              uint64_t *shots_out) const override;
 
   private:
@@ -175,7 +180,8 @@ class SampledEstimation : public EstimationStrategy
                                 unsigned factor) const override;
     std::vector<double>
     gradient(const ParameterShiftEngine &engine,
-             const std::vector<double> &params, uint64_t call_stream,
+             const std::vector<double> &params,
+             const SimBackend *prepared, uint64_t call_stream,
              uint64_t *shots_out) const override;
 
     const SamplingEngine &samplingEngine() const { return sampler; }

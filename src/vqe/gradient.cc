@@ -90,20 +90,26 @@ ParameterShiftEngine::assemble(
 }
 
 std::vector<double>
-ParameterShiftEngine::gradientAdjoint(
-    const std::vector<double> &params) const
+ParameterShiftEngine::gradientAdjoint(const std::vector<double> &params,
+                                      const Statevector *prepared) const
 {
     TraceSpan span("gradient.adjoint");
     span.arg("rotations", shiftable.size());
+    span.arg("forward", prepared ? "reused" : "replayed");
     const std::vector<double> base = baseAngles(params);
     const unsigned n = source->nQubits;
     const auto &rots = unrolled.rotations;
+    if (prepared && prepared->numQubits() != n)
+        fatal("ParameterShiftEngine: prepared state width mismatch");
 
     // chi = psi(phi), then lambda = H psi with the real coefficient
     // parts: the operator ExpectationEngine reports the energy of.
-    Statevector chi(n, source->hfMask);
-    for (size_t j = 0; j < rots.size(); ++j)
-        chi.applyPauliRotation(base[j], rots[j].string);
+    // The replay makes the calls SimBackend::applyAnsatz makes, with
+    // the same angle products, so a prepared state is the same bits.
+    Statevector chi = prepared ? *prepared : Statevector(n, source->hfMask);
+    if (!prepared)
+        for (size_t j = 0; j < rots.size(); ++j)
+            chi.applyPauliRotation(base[j], rots[j].string);
     Statevector lambda(n);
     std::fill(lambda.amplitudes().begin(), lambda.amplitudes().end(),
               cplx(0.0));
@@ -115,7 +121,9 @@ ParameterShiftEngine::gradientAdjoint(
     // lambda_j = U_{R-1..j+1}^dag H psi, dE/dphi_j =
     // 2 Re <lambda_j| i P_j |chi_j> = -2 Im <lambda_j| P_j |chi_j>;
     // un-rotating both states by exp(-i phi_j P_j) steps to j - 1.
-    // Identity rotations are a common phase on both states and
+    // One adjointStep pass per rotation does both (the first
+    // rotation's un-rotation is wasted work, not worth a special
+    // case). Identity rotations are a common phase on both states and
     // cancel in every overlap, so the sweep skips them. assemble()
     // divides by sin(2s), so the derivative enters scaled by it.
     const double sin2s = std::sin(2.0 * opts.shift);
@@ -126,14 +134,10 @@ ParameterShiftEngine::gradientAdjoint(
         const PauliString &p = rots[j].string;
         if (p.isIdentity())
             continue;
-        const cplx o = kern::pauliOverlap(lambda.amplitudes().data(),
-                                          chi.amplitudes().data(), dim,
-                                          p.xMask(), p.zMask());
+        const cplx o = kern::adjointStep(lambda.amplitudes().data(),
+                                         chi.amplitudes().data(), dim,
+                                         p.xMask(), p.zMask(), -base[j]);
         diffs[--i] = -2.0 * o.imag() * sin2s;
-        if (i == 0)
-            break; // nothing left to differentiate
-        chi.applyPauliRotation(-base[j], p);
-        lambda.applyPauliRotation(-base[j], p);
     }
     return assemble(diffs);
 }

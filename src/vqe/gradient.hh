@@ -7,10 +7,12 @@
  * per-rotation derivatives. Two methods compute the same numbers:
  *
  *  - adjoint state (ideal pure-state mode; Jones & Gacon,
- *    arXiv:2009.02823): prepare chi = psi(phi), set lambda = H psi,
- *    then walk the rotations backwards, reading
+ *    arXiv:2009.02823): take chi = psi(phi) (the state the energy
+ *    evaluation already prepared, when the caller has it), set
+ *    lambda = H psi, then walk the rotations backwards, reading
  *    dE/dphi_j = -2 Im <lambda| P_j |chi> and un-rotating both
- *    states. O(R) rotations and two statevectors whatever R is;
+ *    states in one pass per rotation. O(R) rotations and two
+ *    statevectors whatever R is;
  *  - parameter shift, the two-point rule
  *    dE/dphi = [E(phi + s) - E(phi - s)] / sin(2s) over 2R shifted
  *    energies, kept where the shifted states themselves must be
@@ -99,14 +101,18 @@ class ParameterShiftEngine
     /**
      * Exact dE/dtheta of the ideal pure-state energy
      * sum_t Re(c_t) <P_t> (the operator ExpectationEngine
-     * evaluates) by one adjoint backward sweep: one forward replay,
-     * one H psi, then per rotation one read-only overlap and two
-     * un-rotations. Holds two statevectors whatever R is and runs
-     * no per-rotation copy; equals the shift rule up to
+     * evaluates) by one adjoint backward sweep: psi(params), one
+     * H psi, then per rotation one fused kern::adjointStep pass that
+     * reads the overlap and un-rotates both states. `prepared`, when
+     * non-null, must hold psi(params) as SimBackend::applyAnsatz
+     * builds it; it is copied instead of replaying the ansatz, which
+     * gives the same bits. Holds two statevectors whatever R is and
+     * runs no per-rotation copy; equals the shift rule up to
      * floating-point rounding, and repeats bit for bit.
      */
     std::vector<double>
-    gradientAdjoint(const std::vector<double> &params) const;
+    gradientAdjoint(const std::vector<double> &params,
+                    const Statevector *prepared = nullptr) const;
 
     /**
      * dE/dtheta at `params` through prefix-shared statevector

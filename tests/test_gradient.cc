@@ -3,7 +3,8 @@
  * Gradient tests: agreement with central finite differences on every
  * evaluation path (ideal statevector, noisy pair-difference, generic
  * backend replay), the adjoint sweep against the shift rule on H2,
- * LiH and 12-qubit BeH2 and its dispatch from the ideal driver,
+ * LiH and 12-qubit BeH2, its dispatch from the ideal driver and its
+ * start from the state the driver's energy evaluation prepared,
  * bit-for-bit equality of batched and serial execution and of the
  * prefix-shared fast paths against full replays, CircuitCache reuse
  * on the gate-level path, and convergence of the gradient-driven
@@ -11,7 +12,9 @@
  */
 
 #include <cmath>
+#include <functional>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "ansatz/uccsd.hh"
 #include "api/registries.hh"
@@ -21,6 +24,7 @@
 #include "common/rng.hh"
 #include "compiler/cache.hh"
 #include "ferm/hamiltonian.hh"
+#include "obs/trace.hh"
 #include "sim/lanczos.hh"
 #include "vqe/driver.hh"
 #include "vqe/expectation_engine.hh"
@@ -118,6 +122,29 @@ testParams(unsigned n)
     return p;
 }
 
+/**
+ * The `forward` arg ("reused" or "replayed") of every
+ * gradient.adjoint span `fn` emits, in order.
+ */
+std::vector<std::string>
+adjointForwardRoutes(const std::function<void()> &fn)
+{
+    setTraceEnabled(true);
+    clearTrace();
+    fn();
+    const std::string json = traceEventsArrayJson();
+    setTraceEnabled(false);
+    clearTrace();
+    const std::string key = "\"forward\": \"";
+    std::vector<std::string> routes;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const size_t begin = at + key.size();
+        routes.push_back(json.substr(begin, json.find('"', begin) - begin));
+    }
+    return routes;
+}
+
 double
 maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -176,8 +203,9 @@ TEST(Gradient, AdjointRepeatsBitForBitAtAnyWidthCap)
     // Same numbers call after call, and with sweeps capped to one
     // lane (a concurrency-N sweep job) as uncapped: the kernels'
     // chunking follows parallelThreads(), never the cap. The
-    // 16-qubit problem puts the overlap reduction past 2x the
-    // parallel grain, where chunk scheduling is real.
+    // 17-qubit problem puts the adjoint step's block reduction
+    // (2^15 blocks) past 2x its grain, where chunk scheduling is
+    // real.
     auto check = [](const PauliSum &h, const Ansatz &a) {
         ParameterShiftEngine engine(h, a);
         auto params = randomParams(a.nParams, 7);
@@ -187,7 +215,7 @@ TEST(Gradient, AdjointRepeatsBitForBitAtAnyWidthCap)
         EXPECT_EQ(engine.gradientAdjoint(params), first);
     };
     check(lih().prob.hamiltonian, lih().ansatz);
-    auto [h, a] = randomProblem(16, 6, 13);
+    auto [h, a] = randomProblem(17, 6, 13);
     check(h, a);
 }
 
@@ -204,6 +232,59 @@ TEST(Gradient, IdealDriverDispatchesToAdjoint)
     ParameterShiftEngine engine(fix.prob.hamiltonian, fix.ansatz,
                                 o.gradient);
     EXPECT_EQ(driver.gradient(params), engine.gradientAdjoint(params));
+}
+
+TEST(Gradient, IdealDriverStartsFromThePreparedState)
+{
+    // energy(x) then gradient(x) reuses the state energy prepared and
+    // gives the bits of a replaying sweep; a gradient at any other
+    // point replays, so a stale state is never read.
+    for (const Fixture *fix : {&lih(), &beh2()}) {
+        const auto x1 = randomParams(fix->ansatz.nParams, 21);
+        const auto x2 = randomParams(fix->ansatz.nParams, 22);
+        VqeDriverOptions o;
+        VqeDriver driver(
+            fix->prob.hamiltonian, fix->ansatz, o,
+            makeEstimationStrategy(
+                "ideal",
+                EstimationConfig{&fix->prob.hamiltonian, {}, {}, {}}));
+        ParameterShiftEngine engine(fix->prob.hamiltonian, fix->ansatz,
+                                    o.gradient);
+        std::vector<double> g1, g2;
+        const auto routes = adjointForwardRoutes([&] {
+            driver.energy(x1);
+            g1 = driver.gradient(x1);
+            g2 = driver.gradient(x2);
+        });
+        EXPECT_EQ(routes,
+                  (std::vector<std::string>{"reused", "replayed"}));
+        EXPECT_EQ(g1, engine.gradientAdjoint(x1));
+        EXPECT_EQ(g2, engine.gradientAdjoint(x2));
+    }
+}
+
+TEST(Gradient, ShiftRoutesIgnoreThePreparedState)
+{
+    // The noisy and sampled routes read shifted states, never the
+    // prepared one: a prior energy() leaves their gradients as they
+    // are.
+    const Fixture &fix = h2();
+    const auto params = testParams(fix.ansatz.nParams);
+    for (const char *mode : {"noisy", "sampled"}) {
+        VqeDriverOptions o;
+        o.noise = NoiseModel::paperDefault();
+        o.sampling.shots = 4096;
+        auto make = [&] {
+            return makeEstimationStrategy(
+                mode, EstimationConfig{&fix.prob.hamiltonian, o.noise,
+                                       o.sampling, {}});
+        };
+        VqeDriver fresh(fix.prob.hamiltonian, fix.ansatz, o, make());
+        VqeDriver prepared(fix.prob.hamiltonian, fix.ansatz, o, make());
+        prepared.energy(params);
+        EXPECT_EQ(prepared.gradient(params), fresh.gradient(params))
+            << mode;
+    }
 }
 
 TEST(Gradient, ShiftMatchesFiniteDifferences_Noisy)

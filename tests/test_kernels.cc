@@ -248,11 +248,13 @@ TEST(Kernels, ParallelSweepMatchesSerial)
     // stay under 2 * kParallelGrain), so drive the range bodies
     // directly: a split of the block range at arbitrary (odd
     // included) boundaries must write exactly the bits of one
-    // whole-range call, on both dispatch paths. The expectation
-    // partials regroup the sum, so they agree to rounding only.
+    // whole-range call, on both dispatch paths. The expectation and
+    // overlap partials regroup the sum, so they agree to rounding
+    // only.
     const unsigned n = 12;
     const size_t dim = size_t{1} << n;
     const auto base = randomAmplitudes(n, 77);
+    const auto other = randomAmplitudes(n, 78);
     Rng rng(19);
     const double c = std::cos(0.37);
     const cplx v(0.3, -std::sin(0.37));
@@ -286,6 +288,34 @@ TEST(Kernels, ParallelSweepMatchesSerial)
                       0)
                 << "rotation " << what;
             EXPECT_NEAR(sumSplit, sumWhole, 1e-13) << "expectation " << what;
+
+            // The adjoint step over the same split: both states the
+            // bytes of one whole-range call (and lambda those of the
+            // rotation above), the overlap partials to rounding.
+            auto lamWhole = base, chiWhole = other;
+            auto lamSplit = base, chiSplit = other;
+            const cplx overlapWhole = kern::ranges::adjointPairs(
+                lamWhole.data(), chiWhole.data(), 0, blocks, x, z, c,
+                v.real(), v.imag());
+            cplx overlapSplit = 0.0;
+            for (size_t i = 0; i + 1 < edges.size(); ++i)
+                overlapSplit += kern::ranges::adjointPairs(
+                    lamSplit.data(), chiSplit.data(), edges[i],
+                    edges[i + 1], x, z, c, v.real(), v.imag());
+            EXPECT_EQ(std::memcmp(lamWhole.data(), whole.data(),
+                                  dim * sizeof(cplx)),
+                      0)
+                << "adjointPairs vs rotation " << what;
+            EXPECT_EQ(std::memcmp(lamWhole.data(), lamSplit.data(),
+                                  dim * sizeof(cplx)),
+                      0)
+                << "adjointPairs lambda " << what;
+            EXPECT_EQ(std::memcmp(chiWhole.data(), chiSplit.data(),
+                                  dim * sizeof(cplx)),
+                      0)
+                << "adjointPairs chi " << what;
+            EXPECT_NEAR(std::abs(overlapSplit - overlapWhole), 0.0, 1e-13)
+                << "adjointPairs overlap " << what;
 
             // H·psi over the basis ranges of aligned blocks (b, b+1).
             std::vector<cplx> outWhole(dim), outSplit(dim);
@@ -588,71 +618,57 @@ TEST(Simd, PauliPairKernelsCoverEveryXClass)
     }
 }
 
-TEST(Simd, PauliOverlapMatchesScalarAndGeneric)
+TEST(Simd, AdjointStepCoversEveryXClass)
 {
-    // x masks with the lowest set bit at qubit 0 (partners swapped
-    // inside one AVX2 register), at qubit 1, at qubit >= 2, and
-    // x = 0; both overlap states random and distinct.
+    // The fused adjoint step on the vector path and the forced-scalar
+    // path: both states must be the bytes of two applyPauliRotation
+    // calls on the same path, and the overlap and the states must
+    // match the oracle (pauliOverlapGeneric, then two
+    // applyPauliRotationGeneric calls) for every x class.
     Rng rng(47);
-    for (unsigned n : {1u, 2u, 3u, 6u, 13u}) {
-        const uint64_t mask = (uint64_t{1} << n) - 1;
-        auto lam = randomAmplitudes(n, 500 + n);
-        auto chi = randomAmplitudes(n, 600 + n);
-        // Lowest set bit of x at `low`; -1 stands for x = 0.
-        for (int low : {-1, 0, 1, 2, 4}) {
-            if (low >= int(n))
-                continue;
-            for (int rep = 0; rep < 4; ++rep) {
-                const uint64_t z = rng.index(uint64_t{1} << n) & mask;
-                uint64_t x = 0;
-                if (low >= 0) {
-                    const uint64_t bit = uint64_t{1} << low;
-                    x = ((rng.index(uint64_t{1} << n) << low) & mask) |
-                        bit;
-                }
-                const std::string what =
-                    "n=" + std::to_string(n) +
-                    " x=" + std::to_string(x) +
-                    " z=" + std::to_string(z);
-                const cplx ref = kern::pauliOverlapGeneric(
-                    lam.data(), chi.data(), lam.size(), x, z);
-                cplx vec, sca;
-                {
-                    SimdGuard g(true);
-                    vec = kern::pauliOverlap(lam.data(), chi.data(),
-                                             lam.size(), x, z);
-                }
-                {
-                    SimdGuard g(false);
-                    sca = kern::pauliOverlap(lam.data(), chi.data(),
-                                             lam.size(), x, z);
-                }
-                EXPECT_NEAR(std::abs(vec - ref), 0.0, 1e-12)
-                    << "simd " << what;
-                EXPECT_NEAR(std::abs(sca - ref), 0.0, 1e-12)
-                    << "scalar " << what;
+    for (unsigned n : {1u, 2u, 3u, 7u, 13u}) {
+        const auto lam = randomAmplitudes(n, 500 + n);
+        const auto chi = randomAmplitudes(n, 600 + n);
+        const size_t dim = lam.size();
+        for (uint64_t x : xMaskClasses(n, rng)) {
+            for (int rep = 0; rep < 2; ++rep) {
+                const uint64_t z = rng.index(uint64_t{1} << n);
+                const double theta = rng.uniform(-3.0, 3.0);
+                const std::string what = "n=" + std::to_string(n) +
+                                         " x=" + std::to_string(x) +
+                                         " z=" + std::to_string(z);
 
-                // Range bodies over odd [lo, hi) against the plain
-                // definition of the partial sum.
-                const size_t dim = lam.size();
-                const size_t lo = dim > 2 ? 1 : 0;
-                const size_t hi = dim > 2 ? dim - 1 : dim;
-                cplx part = 0.0;
-                for (size_t b = lo; b < hi; ++b)
-                    part += (std::popcount(z & b) & 1 ? -1.0 : 1.0) *
-                            std::conj(lam[b]) * chi[b ^ x];
-                cplx rv, rs;
-                {
-                    SimdGuard g(true);
-                    rv = kern::ranges::pauliOverlap(
-                        lam.data(), chi.data(), lo, hi, x, z);
+                const cplx overlapRef = kern::pauliOverlapGeneric(
+                    lam.data(), chi.data(), dim, x, z);
+                auto lamRef = lam, chiRef = chi;
+                kern::applyPauliRotationGeneric(lamRef.data(), dim, x,
+                                                z, theta);
+                kern::applyPauliRotationGeneric(chiRef.data(), dim, x,
+                                                z, theta);
+                for (bool simd : {true, false}) {
+                    SimdGuard g(simd);
+                    const std::string path = simd ? "simd " : "scalar ";
+                    auto l = lam, h = chi;
+                    const cplx o = kern::adjointStep(l.data(), h.data(),
+                                                     dim, x, z, theta);
+                    auto lRot = lam, hRot = chi;
+                    kern::applyPauliRotation(lRot.data(), dim, x, z,
+                                             theta);
+                    kern::applyPauliRotation(hRot.data(), dim, x, z,
+                                             theta);
+                    EXPECT_EQ(std::memcmp(l.data(), lRot.data(),
+                                          dim * sizeof(cplx)),
+                              0)
+                        << path << "lambda " << what;
+                    EXPECT_EQ(std::memcmp(h.data(), hRot.data(),
+                                          dim * sizeof(cplx)),
+                              0)
+                        << path << "chi " << what;
+                    EXPECT_NEAR(std::abs(o - overlapRef), 0.0, 1e-12)
+                        << path << "overlap " << what;
+                    expectClose(l, lamRef, path + "lambda " + what);
+                    expectClose(h, chiRef, path + "chi " + what);
                 }
-                rs = kern::ranges::pauliOverlapScalar(
-                    lam.data(), chi.data(), lo, hi, x, z);
-                EXPECT_NEAR(std::abs(rv - part), 0.0, 1e-12)
-                    << "simd range " << what;
-                EXPECT_NEAR(std::abs(rs - part), 0.0, 1e-12)
-                    << "scalar range " << what;
             }
         }
     }
